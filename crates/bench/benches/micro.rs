@@ -13,7 +13,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rrp_core::{Document, QueryContext, RankPromotionEngine, RerankScratch};
 use rrp_model::{new_rng, CommunityConfig, PowerLawQuality, QualityDistribution};
 use rrp_ranking::{
-    PageStats, PopularityRanking, RandomizedRankPromotion, RankBuffers, RankingPolicy,
+    PageStats, PoolIndex, PopularityRanking, RandomizedRankPromotion, RankBuffers, RankSource,
+    RankingPolicy,
 };
 use rrp_serve::ShardedPromotionService;
 use rrp_sim::{SimConfig, Simulation};
@@ -56,8 +57,8 @@ fn page_stats(n: usize) -> Vec<PageStats> {
 /// Per-query cost of the batch serving path: the snapshot statistics and
 /// popularity order are computed once per batch (here, outside the timed
 /// loop, exactly as `ShardedPromotionService::rerank_batch` amortises
-/// them), and each query runs the presorted promotion path from reused
-/// scratch. This is the intended production path, so it carries the
+/// them, together with the pool index), and each query ranks the pooled
+/// source from reused scratch. This is the intended production path, so it carries the
 /// headline `engine_rerank` name; `bench_engine_rerank_unbatched` keeps
 /// the legacy one-shot path measurable next to it.
 fn bench_engine_rerank(c: &mut Criterion) {
@@ -72,15 +73,16 @@ fn bench_engine_rerank(c: &mut Criterion) {
         RankPromotionEngine::document_stats(&docs, &mut stats);
         let mut sorted: Vec<usize> = Vec::with_capacity(stats.len());
         PopularityRanking.rank_order_into(&stats, &mut sorted);
+        let pool = PoolIndex::build(&stats);
         let mut buffers = RankBuffers::with_capacity(n);
         let mut slots = Vec::with_capacity(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &docs, |b, docs| {
             let mut query = 0u64;
             b.iter(|| {
                 query += 1;
-                engine.rerank_presorted_slots_into(
-                    &stats,
-                    &sorted,
+                engine.rank_into(
+                    RankSource::pooled(&stats, &sorted, &pool),
+                    None,
                     QueryContext::new(query, 42),
                     &mut buffers,
                     &mut slots,
@@ -155,17 +157,20 @@ fn bench_ranking_policies(c: &mut Criterion) {
     let mut out = Vec::with_capacity(stats.len());
     group.bench_function("selective_promotion_rank_into", |b| {
         b.iter(|| {
-            promo.rank_into(&stats, &mut rng, &mut buffers, &mut out);
+            RankingPolicy::rank_into(&promo, &stats, &mut rng, &mut buffers, &mut out);
             black_box(out.last().copied())
         })
     });
-    // And against a precomputed popularity order (no per-call sort), as the
-    // simulator's incremental index and the serve layer provide.
+    // And against a precomputed popularity order and pool index (no
+    // per-call sort or scan), as the simulator's incremental indexes and
+    // the serve layer provide.
     let mut sorted: Vec<usize> = Vec::with_capacity(stats.len());
     PopularityRanking.rank_order_into(&stats, &mut sorted);
+    let pool = PoolIndex::build(&stats);
     group.bench_function("selective_promotion_presorted", |b| {
         b.iter(|| {
-            promo.rank_presorted_into(&stats, &sorted, &mut rng, &mut buffers, &mut out);
+            let source = RankSource::pooled(&stats, &sorted, &pool);
+            promo.rank_into(source, None, &mut rng, &mut buffers, &mut out);
             black_box(out.last().copied())
         })
     });

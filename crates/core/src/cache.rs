@@ -1,7 +1,7 @@
 //! The incremental per-corpus ranking caches, bundled.
 //!
-//! Every steady-state consumer of the presorted ranking path keeps the
-//! same three derived structures alive across queries: the per-slot
+//! Every steady-state consumer of a pooled [`RankSource`] keeps the same
+//! three derived structures alive across queries: the per-slot
 //! [`PageStats`] snapshot, the [`PopularityIndex`] over it, and — since
 //! this module — the [`PoolIndex`] recording selective-promotion
 //! membership. [`CorpusCache`] owns all three plus the shared dirty list
@@ -14,7 +14,7 @@
 
 use crate::document::Document;
 use crate::engine::RankPromotionEngine;
-use rrp_ranking::{PageStats, PoolIndex, PoolView, PopularityIndex};
+use rrp_ranking::{PageStats, PoolIndex, PopularityIndex, RankSource};
 use serde::{Deserialize, Serialize};
 
 /// The persistent ranking caches over one corpus of [`Document`]s:
@@ -113,12 +113,11 @@ impl CorpusCache {
         &self.pool
     }
 
-    /// The query-time [`PoolView`] over the cache's three maintained
-    /// structures — what the pooled rerank paths rank against. Only
-    /// current after [`repair`](Self::repair).
+    /// The query-time [`RankSource::pooled`] view over the cache's three
+    /// maintained structures. Only current after [`repair`](Self::repair).
     #[inline]
-    pub fn view(&self) -> PoolView<'_> {
-        PoolView::new(&self.stats, self.popularity.order(), &self.pool)
+    pub fn view(&self) -> RankSource<'_> {
+        RankSource::pooled(&self.stats, self.popularity.order(), &self.pool)
     }
 
     /// Number of dirty slots awaiting the next repair (deduplicated on

@@ -13,8 +13,8 @@ use crate::document::{Document, QueryContext};
 use rrp_model::new_rng;
 use rrp_model::PageId;
 use rrp_ranking::{
-    EngineVersion, PageStats, PoolView, PromotionConfig, PromotionRule, RandomizedRankPromotion,
-    RankBuffers,
+    EngineVersion, PageStats, PromotionConfig, PromotionRule, RandomizedRankPromotion, RankBuffers,
+    RankSource, RankingPolicy,
 };
 use serde::{Deserialize, Serialize};
 
@@ -113,8 +113,8 @@ impl RankPromotionEngine {
         RandomizedRankPromotion::new(self.config).with_version(self.version)
     }
 
-    /// Whether this engine's pooled query paths actually read a
-    /// maintained pool index: only the Selective rule does (the Uniform
+    /// Whether this engine's ranking actually reads a maintained pool
+    /// index: only the Selective rule does (the Uniform
     /// rule must re-draw its per-page coins every query). Owners of a
     /// [`CorpusCache`] use this to decide whether pool maintenance is
     /// worth paying for — see [`CorpusCache::set_pool_maintained`].
@@ -178,222 +178,46 @@ impl RankPromotionEngine {
         out: &mut Vec<usize>,
     ) {
         Self::document_stats(documents, &mut scratch.stats);
-        let policy = self.policy();
         let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_into(&scratch.stats, &mut rng, &mut scratch.buffers, out);
+        RankingPolicy::rank_into(
+            &self.policy(),
+            &scratch.stats,
+            &mut rng,
+            &mut scratch.buffers,
+            out,
+        );
     }
 
-    /// Re-rank against a precomputed snapshot: `stats` built once by
-    /// [`document_stats`](Self::document_stats) and `sorted` holding the
-    /// slot indices in [`popularity_order`](rrp_ranking::popularity_order).
-    /// This is the batch-serving fast path — the `O(n log n)` popularity
-    /// sort is paid once per snapshot instead of once per query — and its
-    /// output is byte-identical to [`rerank_slots`](Self::rerank_slots) on
-    /// the same documents.
-    pub fn rerank_presorted_slots_into(
-        &self,
-        stats: &[PageStats],
-        sorted: &[usize],
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_presorted_into(stats, sorted, &mut rng, buffers, out);
-    }
-
-    /// The top-`k` prefix of
-    /// [`rerank_presorted_slots_into`](Self::rerank_presorted_slots_into):
-    /// emit only the first `min(k, n)` ranks, stopping the coin-flip merge
-    /// early. The output equals the length-`k` prefix of the full rerank
-    /// bit for bit — real queries consume only the top of the ranking
-    /// (the paper's rank-biased attention law), so serving tiers ask for
-    /// one page of results instead of all `n`.
-    pub fn rerank_top_k_presorted_slots_into(
-        &self,
-        stats: &[PageStats],
-        sorted: &[usize],
-        k: usize,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_top_k_presorted_into(stats, sorted, k, &mut rng, buffers, out);
-    }
-
-    /// [`rerank_presorted_slots_into`](Self::rerank_presorted_slots_into)
-    /// against a persistent pool: the [`PoolView`] bundles the stats
-    /// snapshot, its popularity order and a maintained
-    /// [`PoolIndex`](rrp_ranking::PoolIndex), so the promotion pool is
-    /// read off the index instead of re-derived by an `O(n)` scan + mask
-    /// reset per query (the Uniform rule still draws its mandatory
-    /// per-page coins). The index must be consistent with the stats
-    /// (checked by a debug assertion in the ranking layer); output is
-    /// byte-identical to the scanning path.
-    pub fn rerank_pooled_slots_into(
-        &self,
-        view: PoolView<'_>,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_pooled_into(view, &mut rng, buffers, out);
-    }
-
-    /// The top-`k` prefix of
-    /// [`rerank_pooled_slots_into`](Self::rerank_pooled_slots_into) — the
-    /// truly `O(pool + k)` serving path: pool off the index, at most
-    /// `pool + k` entries of the order touched, merge stopped at rank
-    /// `k`, nothing per-corpus left on the query. Output equals the
-    /// length-`k` prefix of the full rerank bit for bit.
-    pub fn rerank_top_k_pooled_slots_into(
-        &self,
-        view: PoolView<'_>,
-        k: usize,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_top_k_pooled_into(view, k, &mut rng, buffers, out);
-    }
-
-    /// [`rerank_pooled_slots_into`](Self::rerank_pooled_slots_into) read
-    /// straight off a repaired [`CorpusCache`] — the one-call form for
-    /// servers that keep the cache as their persistent serving state.
-    pub fn rerank_cached_slots_into(
-        &self,
-        cache: &CorpusCache,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.rerank_pooled_slots_into(cache.view(), context, buffers, out);
-    }
-
-    /// The top-`k` prefix of the full rerank computed from **merged shard
-    /// candidates** — the distributed serving path: per query each shard
-    /// contributes only its pool members and a popularity-order prefix
-    /// (collected off a [`ShardedCorpusCache`](crate::ShardedCorpusCache)),
-    /// the deterministic merge reassembles the global pool and order
-    /// prefix, and this call ranks against that view alone. No corpus-wide
-    /// snapshot, order, or pool is consulted, yet the output (global
-    /// slots) is bit-identical to the length-`k` prefix of
-    /// [`rerank_cached_slots_into`](Self::rerank_cached_slots_into).
+    /// Rank one query against a [`RankSource`] — a corpus-wide
+    /// [`CorpusCache::view`], a sharded tier's merged order, or its
+    /// retrieved top-k candidates — writing slots into `out` (all `n`
+    /// ranks for `limit = None`, else the first `min(k, n)`). The query's
+    /// randomization is the engine's pure function of `(seed, query,
+    /// session)`; see [`RandomizedRankPromotion::rank_into`] for the
+    /// draw each version × rule × limit takes and for the panics.
     ///
-    /// # Panics
-    /// Panics for Uniform-rule engines (their per-page coins require the
-    /// whole corpus); gate on [`reads_pool_index`](Self::reads_pool_index).
-    pub fn rerank_top_k_candidates_into(
+    /// Under v1 every source yields the same answer as
+    /// [`rerank_slots`](Self::rerank_slots) on the same documents (its
+    /// length-`k` prefix for `Some(k)`).
+    pub fn rank_into(
         &self,
-        candidates: &rrp_ranking::MergedCandidates,
-        k: usize,
+        source: RankSource<'_>,
+        limit: Option<usize>,
         context: QueryContext,
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
-        let policy = self.policy();
         let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_top_k_candidates_into(candidates, k, &mut rng, buffers, out);
-    }
-
-    /// The primitive under
-    /// [`rerank_top_k_candidates_into`](Self::rerank_top_k_candidates_into)
-    /// for serving tiers whose pool half is *maintained* rather than
-    /// re-merged per query (a
-    /// [`ShardedCorpusCache`](crate::ShardedCorpusCache)'s
-    /// [`pool_slots`](crate::ShardedCorpusCache::pool_slots)): `pool` is
-    /// the global pool in pre-shuffle (ascending-slot) order, `rest` the
-    /// first `min(k, available)` non-pool slots of the global popularity
-    /// order. Same panics and the same RNG stream as the candidate form.
-    pub fn rerank_top_k_retrieved_into(
-        &self,
-        pool: &[usize],
-        rest: &[usize],
-        k: usize,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_top_k_retrieved_into(pool, rest, k, &mut rng, buffers, out);
-    }
-
-    /// A **full rerank from merged shard state** — the single-tier serving
-    /// path: `order` is the complete global popularity order reassembled
-    /// by the deterministic shard merge (a
-    /// [`ShardedCorpusCache`](crate::ShardedCorpusCache)'s
-    /// [`merged_order`](crate::ShardedCorpusCache::merged_order)), `pool`
-    /// the maintained global pool in pre-shuffle (ascending-slot) order
-    /// and `in_pool` its membership predicate (both read only by the
-    /// Selective rule; the Uniform rule draws its per-page coins over
-    /// `0..order.len()` in slot order). No corpus-wide snapshot, order,
-    /// or pool index is consulted, yet the output (global slots) is
-    /// bit-identical to
-    /// [`rerank_cached_slots_into`](Self::rerank_cached_slots_into) over
-    /// the equivalent corpus-wide cache.
-    pub fn rerank_merged_into(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_merged_into(pool, order, in_pool, &mut rng, buffers, out);
-    }
-
-    /// The top-`k` prefix of
-    /// [`rerank_merged_into`](Self::rerank_merged_into): merge stopped at
-    /// rank `k`, `L_d` materialised only up to `k` entries. Unlike the
-    /// candidate-retrieval path this serves Uniform-rule engines too —
-    /// the complete merged order is corpus enough for their coins. Output
-    /// equals the length-`k` prefix of the full rerank bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rerank_top_k_merged_into(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        k: usize,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let policy = self.policy();
-        let mut rng = new_rng(context.seed(self.seed));
-        policy.rank_top_k_merged_into(pool, order, in_pool, k, &mut rng, buffers, out);
-    }
-
-    /// [`rerank_top_k_pooled_slots_into`](Self::rerank_top_k_pooled_slots_into)
-    /// read straight off a repaired [`CorpusCache`].
-    pub fn rerank_top_k_cached_slots_into(
-        &self,
-        cache: &CorpusCache,
-        k: usize,
-        context: QueryContext,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.rerank_top_k_pooled_slots_into(cache.view(), k, context, buffers, out);
+        self.policy()
+            .rank_into(source, limit, &mut rng, buffers, out);
     }
 
     /// Convenience wrapper: the first `min(k, n)` document ids of
     /// [`rerank`](Self::rerank), computed without materialising the full
     /// ranking. Builds a [`CorpusCache`] per call (one stats pass + sort +
-    /// pool scan), then serves through the pooled `O(pool + k)` path —
-    /// batch servers keep the cache alive across queries instead and pay
-    /// none of the per-call derivation.
+    /// pool scan), then ranks its [`view`](CorpusCache::view) with
+    /// `limit = Some(k)` — batch servers keep the cache alive across
+    /// queries instead and pay none of the per-call derivation.
     pub fn rerank_top_k(
         &self,
         documents: &[Document],
@@ -405,7 +229,7 @@ impl RankPromotionEngine {
         cache.rebuild(documents);
         let mut buffers = RankBuffers::new();
         let mut slots = Vec::with_capacity(k.min(documents.len()));
-        self.rerank_top_k_cached_slots_into(&cache, k, context, &mut buffers, &mut slots);
+        self.rank_into(cache.view(), Some(k), context, &mut buffers, &mut slots);
         slots.into_iter().map(|slot| documents[slot].id).collect()
     }
 
@@ -615,30 +439,24 @@ mod tests {
     fn top_k_equals_the_full_rerank_prefix() {
         let docs = corpus();
         let engine = RankPromotionEngine::recommended().with_seed(21);
-        let mut stats = Vec::new();
-        RankPromotionEngine::document_stats(&docs, &mut stats);
-        let mut sorted: Vec<usize> = (0..stats.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| rrp_ranking::popularity_order(&stats[a], &stats[b]));
-        let mut buffers = RankBuffers::new();
-        let mut slots = Vec::new();
         for q in 0..40u64 {
             let ctx = QueryContext::new(q, q.wrapping_mul(77));
             let full = engine.rerank(&docs, ctx);
             for k in [0usize, 1, 2, 5, 10, 30, 99] {
                 let want = &full[..k.min(full.len())];
                 assert_eq!(engine.rerank_top_k(&docs, ctx, k), want, "k={k}, q={q}");
-                engine.rerank_top_k_presorted_slots_into(
-                    &stats,
-                    &sorted,
-                    k,
-                    ctx,
-                    &mut buffers,
-                    &mut slots,
-                );
-                let ids: Vec<u64> = slots.iter().map(|&s| docs[s].id).collect();
-                assert_eq!(ids, want, "presorted k={k}, q={q}");
             }
         }
+    }
+
+    /// The limits every source-equivalence test sweeps.
+    const LIMITS: [Option<usize>; 7] =
+        [None, Some(0), Some(1), Some(2), Some(5), Some(30), Some(99)];
+
+    /// The cache's pool membership as a plain mask (the merged source's
+    /// membership input).
+    fn pool_mask(cache: &CorpusCache) -> Vec<bool> {
+        (0..cache.len()).map(|s| cache.pool().contains(s)).collect()
     }
 
     #[test]
@@ -647,22 +465,25 @@ mod tests {
         let engine = RankPromotionEngine::recommended().with_seed(21);
         let mut cache = CorpusCache::new();
         cache.rebuild(&docs);
+        let mask = pool_mask(&cache);
+        let rest: Vec<usize> = cache
+            .order()
+            .iter()
+            .copied()
+            .filter(|&s| !mask[s])
+            .collect();
+        let retrieved = RankSource::retrieved(cache.pool().members(), &rest);
         let mut buffers = RankBuffers::new();
-        let (mut scan, mut pooled) = (Vec::new(), Vec::new());
+        let mut out = Vec::new();
         for q in 0..40u64 {
             let ctx = QueryContext::new(q, q.wrapping_mul(77));
-            engine.rerank_presorted_slots_into(
-                cache.stats(),
-                cache.order(),
-                ctx,
-                &mut buffers,
-                &mut scan,
-            );
-            engine.rerank_cached_slots_into(&cache, ctx, &mut buffers, &mut pooled);
-            assert_eq!(pooled, scan, "full pooled, q={q}");
-            for k in [0usize, 1, 2, 5, 10, 30, 99] {
-                engine.rerank_top_k_cached_slots_into(&cache, k, ctx, &mut buffers, &mut pooled);
-                assert_eq!(pooled, scan[..k.min(scan.len())], "pooled k={k}, q={q}");
+            let scan = engine.rerank_slots(&docs, ctx);
+            for limit in LIMITS {
+                let want = &scan[..limit.unwrap_or(scan.len()).min(scan.len())];
+                engine.rank_into(cache.view(), limit, ctx, &mut buffers, &mut out);
+                assert_eq!(out, want, "cached {limit:?}, q={q}");
+                engine.rank_into(retrieved, limit, ctx, &mut buffers, &mut out);
+                assert_eq!(out, want, "retrieved {limit:?}, q={q}");
             }
         }
     }
@@ -678,37 +499,17 @@ mod tests {
         for engine in engines {
             let mut cache = CorpusCache::new();
             cache.rebuild(&docs);
+            let mask = pool_mask(&cache);
+            let merged = RankSource::merged(cache.pool().members(), &mask, cache.order());
             let mut buffers = RankBuffers::new();
-            let (mut scan, mut merged) = (Vec::new(), Vec::new());
+            let mut out = Vec::new();
             for q in 0..20u64 {
                 let ctx = QueryContext::new(q, q.wrapping_mul(77));
-                engine.rerank_presorted_slots_into(
-                    cache.stats(),
-                    cache.order(),
-                    ctx,
-                    &mut buffers,
-                    &mut scan,
-                );
-                engine.rerank_merged_into(
-                    cache.pool().members(),
-                    cache.order(),
-                    |s| cache.pool().contains(s),
-                    ctx,
-                    &mut buffers,
-                    &mut merged,
-                );
-                assert_eq!(merged, scan, "full merged, q={q}");
-                for k in [0usize, 1, 2, 5, 10, 30, 99] {
-                    engine.rerank_top_k_merged_into(
-                        cache.pool().members(),
-                        cache.order(),
-                        |s| cache.pool().contains(s),
-                        k,
-                        ctx,
-                        &mut buffers,
-                        &mut merged,
-                    );
-                    assert_eq!(merged, scan[..k.min(scan.len())], "merged k={k}, q={q}");
+                let scan = engine.rerank_slots(&docs, ctx);
+                for limit in LIMITS {
+                    engine.rank_into(merged, limit, ctx, &mut buffers, &mut out);
+                    let len = limit.unwrap_or(scan.len()).min(scan.len());
+                    assert_eq!(out, scan[..len], "merged {limit:?}, q={q}");
                 }
             }
         }
@@ -725,6 +526,7 @@ mod tests {
 
         let mut cache = CorpusCache::new();
         cache.rebuild(&docs);
+        let mask = pool_mask(&cache);
         let mut buffers = RankBuffers::new();
         let (mut pooled, mut merged) = (Vec::new(), Vec::new());
         let mut diverged = false;
@@ -735,14 +537,12 @@ mod tests {
             // …and every v2 top-k route draws the same lazy stream.
             let k = 8;
             let top = v2.rerank_top_k(&docs, ctx, k);
-            v2.rerank_top_k_cached_slots_into(&cache, k, ctx, &mut buffers, &mut pooled);
+            v2.rank_into(cache.view(), Some(k), ctx, &mut buffers, &mut pooled);
             let pooled_ids: Vec<u64> = pooled.iter().map(|&s| docs[s].id).collect();
             assert_eq!(pooled_ids, top, "cached≡rerank_top_k, q={q}");
-            v2.rerank_top_k_merged_into(
-                cache.pool().members(),
-                cache.order(),
-                |s| cache.pool().contains(s),
-                k,
+            v2.rank_into(
+                RankSource::merged(cache.pool().members(), &mask, cache.order()),
+                Some(k),
                 ctx,
                 &mut buffers,
                 &mut merged,
@@ -791,10 +591,8 @@ mod tests {
         let engine = RankPromotionEngine::recommended().with_seed(3);
 
         // Snapshot built once, as a batch server would.
-        let mut stats = Vec::new();
-        RankPromotionEngine::document_stats(&docs, &mut stats);
-        let mut sorted: Vec<usize> = (0..stats.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| rrp_ranking::popularity_order(&stats[a], &stats[b]));
+        let mut cache = CorpusCache::new();
+        cache.rebuild(&docs);
 
         let mut scratch = RerankScratch::with_capacity(docs.len());
         let mut buffers = RankBuffers::new();
@@ -806,7 +604,7 @@ mod tests {
             engine.rerank_slots_into(&docs, ctx, &mut scratch, &mut out);
             assert_eq!(out, expected, "scratch path, query {q}");
 
-            engine.rerank_presorted_slots_into(&stats, &sorted, ctx, &mut buffers, &mut out);
+            engine.rank_into(cache.view(), None, ctx, &mut buffers, &mut out);
             assert_eq!(out, expected, "presorted path, query {q}");
         }
         assert_eq!(engine.seed(), 3);

@@ -65,7 +65,7 @@
 use crate::cache::CorpusCache;
 use crate::document::Document;
 use rrp_model::PageId;
-use rrp_ranking::{ShardCandidates, SharedLazyOrder};
+use rrp_ranking::{RankSource, ShardCandidates, SharedLazyOrder};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -208,11 +208,18 @@ impl PublishedVersion {
     }
 
     /// Whether `global_slot` is a member of its shard's promotion pool —
-    /// one direct mask index, the membership predicate the merged
-    /// full-rerank path filters the global order through.
+    /// one direct mask index.
     #[inline]
     pub fn in_pool(&self, global_slot: usize) -> bool {
         self.pool_mask[global_slot]
+    }
+
+    /// The [`RankSource::merged`] view of this version: the merged pool,
+    /// its membership mask, and the complete merged order (forced if no
+    /// consumer merged it yet — see
+    /// [`ensure_merged_order`](Self::ensure_merged_order)).
+    pub fn merged_source(&self) -> RankSource<'_> {
+        RankSource::merged(&self.merged_pool, &self.pool_mask, self.merged_order())
     }
 
     /// The complete merged global popularity order (global slots) —
@@ -269,7 +276,13 @@ impl PublishedVersion {
     pub fn collect_rest_candidates(&self, limit: usize, out: &mut Vec<ShardCandidates>) {
         out.resize_with(self.shards.len(), ShardCandidates::new);
         for (shard, candidates) in self.shards.iter().zip(out.iter_mut()) {
-            candidates.collect_rest(shard.cache.view(), limit, &shard.globals);
+            candidates.collect_rest(
+                shard.cache.stats(),
+                shard.cache.order(),
+                shard.cache.pool(),
+                limit,
+                &shard.globals,
+            );
         }
     }
 }
@@ -718,7 +731,13 @@ impl ShardedCorpusCache {
     pub fn collect_rest_candidates(&self, limit: usize, out: &mut Vec<ShardCandidates>) {
         out.resize_with(self.shards.len(), ShardCandidates::new);
         for (shard, candidates) in self.shards.iter().zip(out.iter_mut()) {
-            candidates.collect_rest(shard.cache.view(), limit, &shard.globals);
+            candidates.collect_rest(
+                shard.cache.stats(),
+                shard.cache.order(),
+                shard.cache.pool(),
+                limit,
+                &shard.globals,
+            );
         }
     }
 
@@ -729,7 +748,13 @@ impl ShardedCorpusCache {
     pub fn collect_candidates(&self, limit: usize, out: &mut Vec<ShardCandidates>) {
         out.resize_with(self.shards.len(), ShardCandidates::new);
         for (shard, candidates) in self.shards.iter().zip(out.iter_mut()) {
-            candidates.collect(shard.cache.view(), limit, &shard.globals);
+            candidates.collect(
+                shard.cache.stats(),
+                shard.cache.order(),
+                shard.cache.pool(),
+                limit,
+                &shard.globals,
+            );
         }
     }
 

@@ -24,7 +24,7 @@ pub struct RankBuffers {
     pub(crate) pool: Vec<usize>,
     /// Deterministic-remainder entries (indices, later slot indices).
     pub(crate) rest: Vec<usize>,
-    /// Per-slot pool-membership mask (used by the presorted Uniform path).
+    /// Per-slot pool-membership mask (the Uniform rule's per-slot coins).
     pub(crate) mask: Vec<bool>,
     /// Per-slot seen mask for permutation validation.
     pub(crate) seen: Vec<bool>,
@@ -33,7 +33,7 @@ pub struct RankBuffers {
     /// top-`k` query, reused across queries for its capacity.
     pub(crate) overlay: Vec<(usize, usize)>,
     /// How many times the per-slot mask was reset (each reset is an `O(n)`
-    /// clear paired with a full-corpus pool scan). The pooled query path
+    /// clear paired with a full-corpus pool scan). The Selective rule
     /// never resets, so serving tiers read this counter to *pin* that their
     /// clean-batch path stayed scan-free — see
     /// [`take_mask_resets`](Self::take_mask_resets).
@@ -65,10 +65,10 @@ impl RankBuffers {
     }
 
     /// Drain the count of per-slot mask resets since the last call (each
-    /// one marks an `O(n)` full-corpus pool derivation). The pooled
-    /// selective path performs none; the presorted fallback and the
-    /// Uniform rule's mandatory per-page coin scan perform one per query —
-    /// serving probes aggregate this to pin their scan-free contract.
+    /// one marks an `O(n)` full-corpus pool derivation). The Selective
+    /// rule performs none; the Uniform rule's mandatory per-page coin scan
+    /// performs one per query — serving probes aggregate this to pin their
+    /// scan-free contract.
     pub fn take_mask_resets(&mut self) -> u64 {
         std::mem::take(&mut self.mask_resets)
     }

@@ -7,15 +7,15 @@
 //! rank-ordered prefix of the popularity order. This module brings
 //! retrieval down to the shards: each shard produces a [`ShardCandidates`]
 //! set — its pool members plus its first `c` *non-pool* entries in
-//! popularity order (`c` from
-//! [`PromotionConfig::candidate_prefix_len`](crate::PromotionConfig::candidate_prefix_len))
-//! — and [`merge_shard_candidates_into`] reassembles the global structures
-//! the pooled ranking path consumes:
+//! popularity order (`c = k` suffices: each of the top `k` ranks consumes
+//! at most one entry of the deterministic list) — and
+//! [`merge_shard_candidates_into`] reassembles the global structures a
+//! [`RankSource::retrieved`](crate::RankSource::retrieved) view consumes:
 //!
 //! * the **global pool** in ascending global-slot order — exactly the
 //!   scan's pre-shuffle order, so the per-query shuffle consumes the
 //!   identical RNG stream as a corpus-wide
-//!   [`PoolIndex`](crate::PoolIndex); and
+//!   [`PoolIndex`]; and
 //! * the first `c` **non-pool entries of the global popularity order** —
 //!   exactly the deterministic remainder `L_d` the top-`k` merge may
 //!   consume.
@@ -44,7 +44,7 @@
 //! stopped. Either way no unseen element could have preceded an emitted
 //! one.
 
-use crate::poolindex::PoolView;
+use crate::poolindex::PoolIndex;
 use crate::stats::{popularity_order, PageStats};
 
 /// One shard's candidate set: everything the top-`k` promotion merge
@@ -76,17 +76,25 @@ impl ShardCandidates {
         &self.rest
     }
 
-    /// Fill this set from a shard's maintained [`PoolView`]: copy the pool
-    /// members (ascending local slot) and filter the shard's popularity
-    /// order through the pool mask, stopping after `limit` non-pool
-    /// matches — `O(pool + limit)`, no per-corpus work. Each entry is
-    /// relabeled through `global_slots` (local slot → global slot), which
-    /// must be strictly increasing so that shard-local order agrees with
-    /// the global order's slot tie-break.
-    pub fn collect(&mut self, view: PoolView<'_>, limit: usize, global_slots: &[usize]) {
-        self.collect_rest(view, limit, global_slots);
+    /// Fill this set from a shard's maintained state — its stats
+    /// snapshot `pages`, their popularity `order` and the `pool` index:
+    /// copy the pool members (ascending local slot) and filter the order
+    /// through the pool mask, stopping after `limit` non-pool matches —
+    /// `O(pool + limit)`, no per-corpus work. Each entry is relabeled
+    /// through `global_slots` (local slot → global slot), which must be
+    /// strictly increasing so that shard-local order agrees with the
+    /// global order's slot tie-break.
+    pub fn collect(
+        &mut self,
+        pages: &[PageStats],
+        order: &[usize],
+        pool: &PoolIndex,
+        limit: usize,
+        global_slots: &[usize],
+    ) {
+        self.collect_rest(pages, order, pool, limit, global_slots);
         self.pool
-            .extend(view.pool.members().iter().map(|&local| global_slots[local]));
+            .extend(pool.members().iter().map(|&local| global_slots[local]));
     }
 
     /// [`collect`](Self::collect) without the pool half — the steady-state
@@ -95,22 +103,29 @@ impl ShardCandidates {
     /// ([`ShardedCorpusCache`](../../rrp_core/struct.ShardedCorpusCache.html)
     /// keeps the result) and per query only the `O(limit)` rest prefix is
     /// retrieved. Leaves `pool` empty.
-    pub fn collect_rest(&mut self, view: PoolView<'_>, limit: usize, global_slots: &[usize]) {
+    pub fn collect_rest(
+        &mut self,
+        pages: &[PageStats],
+        order: &[usize],
+        pool: &PoolIndex,
+        limit: usize,
+        global_slots: &[usize],
+    ) {
         self.pool.clear();
-        debug_assert_eq!(global_slots.len(), view.pages.len());
+        debug_assert_eq!(global_slots.len(), pages.len());
         debug_assert!(global_slots.windows(2).all(|w| w[0] < w[1]));
         debug_assert!(
-            view.pool.is_consistent(view.pages),
+            pool.is_consistent(pages),
             "candidate retrieval requires a maintained pool index"
         );
         self.rest.clear();
         self.rest.extend(
-            view.sorted
+            order
                 .iter()
-                .filter(|&&local| !view.pool.contains(local))
+                .filter(|&&local| !pool.contains(local))
                 .take(limit)
                 .map(|&local| {
-                    let mut stat = view.pages[local];
+                    let mut stat = pages[local];
                     stat.slot = global_slots[local];
                     stat
                 }),
@@ -296,7 +311,6 @@ pub fn merge_shard_candidates_into(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::poolindex::PoolIndex;
     use crate::popindex::PopularityIndex;
     use rrp_model::PageId;
 
@@ -340,7 +354,7 @@ mod tests {
                 let order = PopularityIndex::build(locals);
                 let pool = PoolIndex::build(locals);
                 let mut candidates = ShardCandidates::new();
-                candidates.collect(PoolView::new(locals, order.order(), &pool), limit, globals);
+                candidates.collect(locals, order.order(), &pool, limit, globals);
                 candidates
             })
             .collect()
@@ -422,11 +436,7 @@ mod tests {
                     let order = PopularityIndex::build(locals);
                     let pool = PoolIndex::build(locals);
                     let mut candidates = ShardCandidates::new();
-                    candidates.collect_rest(
-                        PoolView::new(locals, order.order(), &pool),
-                        6,
-                        globals,
-                    );
+                    candidates.collect_rest(locals, order.order(), &pool, 6, globals);
                     candidates
                 })
                 .collect();

@@ -10,12 +10,11 @@
 //! implementing [`RankingPolicy`] for callers that want the trait.
 
 use crate::buffers::RankBuffers;
-use crate::candidates::MergedCandidates;
 use crate::deterministic::{FullyRandomRanking, PopularityRanking, QualityOracleRanking};
 use crate::policy::RankingPolicy;
-use crate::poolindex::PoolView;
 use crate::promotion::{PromotionConfig, PromotionRule};
 use crate::randomized::RandomizedRankPromotion;
+use crate::source::RankSource;
 use crate::stats::PageStats;
 use rand::RngCore;
 
@@ -49,268 +48,67 @@ impl PolicyKind {
         PolicyKind::Promotion(RandomizedRankPromotion::recommended(start_rank))
     }
 
-    /// Rank `pages` into `out` (see
-    /// [`RankingPolicy::rank_into`]) with a `match` instead of a vtable.
-    /// Generic over the RNG so concrete generators stay statically
-    /// dispatched through the enum.
+    /// Rank `source` into `out` — all `n` ranks for `limit = None`, else
+    /// the first `min(k, n)` of `limit = Some(k)` — with a `match` instead
+    /// of a vtable. Promotion forwards to
+    /// [`RandomizedRankPromotion::rank_into`]; plain popularity ranking
+    /// copies the source's complete order; the quality oracle and the
+    /// fully-random shuffle rank the source's per-slot stats in full and
+    /// truncate (their prefix depends on the whole permutation). Except
+    /// under a v2 Selective top-k, every answer equals the prefix of the
+    /// reference [`RankingPolicy::rank_into`] from the same RNG state.
+    ///
+    /// # Panics
+    /// Panics where the source lacks what the kind reads: a
+    /// [`retrieved`](RankSource::retrieved) source serves only selective
+    /// promotion, and a [`merged`](RankSource::merged) one carries no
+    /// per-slot stats for the quality oracle or the fully-random shuffle.
     pub fn rank_into<R: RngCore + ?Sized>(
         &self,
-        pages: &[PageStats],
+        source: RankSource<'_>,
+        limit: Option<usize>,
         rng: &mut R,
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
         match self {
-            PolicyKind::Popularity => PopularityRanking.rank_order_into(pages, out),
-            PolicyKind::QualityOracle => QualityOracleRanking.rank_order_into(pages, out),
-            PolicyKind::FullyRandom => FullyRandomRanking.shuffle_into(pages, rng, out),
-            PolicyKind::Promotion(policy) => policy.rank_into(pages, rng, buffers, out),
+            PolicyKind::Promotion(policy) => policy.rank_into(source, limit, rng, buffers, out),
+            _ if source.is_retrieved() => panic!(
+                "{} does not rank from shard candidates; serve it from the corpus-wide state",
+                self.name()
+            ),
+            PolicyKind::Popularity => {
+                let order = source.order;
+                out.clear();
+                out.extend_from_slice(&order[..limit.map_or(order.len(), |k| k.min(order.len()))]);
+            }
+            PolicyKind::QualityOracle | PolicyKind::FullyRandom => {
+                let Some(pages) = source.pages else {
+                    panic!(
+                        "{} does not rank from merged shard state; it reads per-page state \
+                         the popularity-ordered merge does not carry",
+                        self.name()
+                    )
+                };
+                if *self == PolicyKind::QualityOracle {
+                    QualityOracleRanking.rank_order_into(pages, out);
+                } else {
+                    FullyRandomRanking.shuffle_into(pages, rng, out);
+                }
+                if let Some(k) = limit {
+                    out.truncate(k);
+                }
+            }
         }
     }
 
-    /// Allocating convenience wrapper over [`rank_into`](Self::rank_into)
-    /// (the [`RankingPolicy`] provided method).
+    /// Allocating convenience wrapper over the reference
+    /// [`RankingPolicy::rank_into`] (the trait's provided method).
     pub fn rank(&self, pages: &[PageStats], rng: &mut dyn RngCore) -> Vec<usize> {
         RankingPolicy::rank(self, pages, rng)
     }
 
-    /// Rank when the caller already maintains the full popularity order of
-    /// `pages` (see
-    /// [`RandomizedRankPromotion::rank_presorted_into`] for the contract:
-    /// `pages[i].slot == i` and `sorted` ordered by
-    /// [`popularity_order`](crate::popularity_order)).
-    ///
-    /// Policies that do not rank by popularity ignore `sorted`: the quality
-    /// oracle sorts by quality as usual, and fully-random ranking shuffles.
-    /// Output and RNG consumption are byte-identical to
-    /// [`rank_into`](Self::rank_into).
-    pub fn rank_presorted_into<R: RngCore + ?Sized>(
-        &self,
-        pages: &[PageStats],
-        sorted: &[usize],
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Popularity => {
-                debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
-                debug_assert_eq!(sorted.len(), pages.len());
-                debug_assert!(sorted.windows(2).all(|w| crate::popularity_order(
-                    &pages[w[0]],
-                    &pages[w[1]]
-                )
-                .is_lt()));
-                out.clear();
-                out.extend_from_slice(sorted);
-            }
-            PolicyKind::QualityOracle => QualityOracleRanking.rank_order_into(pages, out),
-            PolicyKind::FullyRandom => FullyRandomRanking.shuffle_into(pages, rng, out),
-            PolicyKind::Promotion(policy) => {
-                policy.rank_presorted_into(pages, sorted, rng, buffers, out)
-            }
-        }
-    }
-
-    /// The top-`k` prefix of
-    /// [`rank_presorted_into`](Self::rank_presorted_into): emit only the
-    /// first `min(k, n)` ranks. For every kind the output equals the
-    /// length-`k` prefix of the full rerank bit for bit.
-    ///
-    /// Only popularity-ordered kinds get a genuine early exit (the
-    /// promotion merge stops at rank `k`; plain popularity ranking copies
-    /// `k` entries off the precomputed order). The quality oracle and the
-    /// fully-random shuffle must still process all `n` pages — their prefix
-    /// depends on the whole permutation — and are truncated afterwards.
-    pub fn rank_top_k_presorted_into<R: RngCore + ?Sized>(
-        &self,
-        pages: &[PageStats],
-        sorted: &[usize],
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Popularity => {
-                debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
-                debug_assert_eq!(sorted.len(), pages.len());
-                out.clear();
-                out.extend_from_slice(&sorted[..k.min(sorted.len())]);
-            }
-            PolicyKind::QualityOracle => {
-                QualityOracleRanking.rank_order_into(pages, out);
-                out.truncate(k);
-            }
-            PolicyKind::FullyRandom => {
-                FullyRandomRanking.shuffle_into(pages, rng, out);
-                out.truncate(k);
-            }
-            PolicyKind::Promotion(policy) => {
-                policy.rank_top_k_presorted_into(pages, sorted, k, rng, buffers, out)
-            }
-        }
-    }
-
-    /// [`rank_presorted_into`](Self::rank_presorted_into) against a
-    /// persistent pool ([`PoolView`] bundles the stats, their popularity
-    /// order and the maintained [`PoolIndex`](crate::PoolIndex)):
-    /// promotion policies take their pool `L_p` off the index instead of
-    /// re-scanning all `n` pages (the Uniform rule still draws its
-    /// mandatory per-page coins). Policies that do not promote ignore the
-    /// index. Output and RNG consumption are byte-identical to
-    /// [`rank_presorted_into`](Self::rank_presorted_into).
-    pub fn rank_pooled_into<R: RngCore + ?Sized>(
-        &self,
-        view: PoolView<'_>,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Promotion(policy) => policy.rank_pooled_into(view, rng, buffers, out),
-            _ => self.rank_presorted_into(view.pages, view.sorted, rng, buffers, out),
-        }
-    }
-
-    /// The top-`k` prefix of [`rank_pooled_into`](Self::rank_pooled_into):
-    /// for the promotion policy this is the `O(pool + k)` serving path —
-    /// no full-corpus scan, no mask reset, coin-flip merge stopped at rank
-    /// `k`. For every kind the output equals the length-`k` prefix of the
-    /// full rerank bit for bit.
-    pub fn rank_top_k_pooled_into<R: RngCore + ?Sized>(
-        &self,
-        view: PoolView<'_>,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Promotion(policy) => {
-                policy.rank_top_k_pooled_into(view, k, rng, buffers, out)
-            }
-            _ => self.rank_top_k_presorted_into(view.pages, view.sorted, k, rng, buffers, out),
-        }
-    }
-
-    /// The top-`k` prefix of the full rerank computed from **merged shard
-    /// candidates** ([`MergedCandidates`], built with a limit of at least
-    /// `k`) — the distributed serving path that touches no corpus-wide
-    /// structure, forwarding to
-    /// [`RandomizedRankPromotion::rank_top_k_candidates_into`]. Output is
-    /// bit-identical to the length-`k` prefix of the full rerank.
-    ///
-    /// # Panics
-    /// Panics for every kind whose prefix depends on the whole corpus —
-    /// all but selective promotion: the quality oracle orders by quality,
-    /// the fully-random shuffle permutes all `n` pages, plain popularity
-    /// ranking already has an `O(k)` answer in the maintained order
-    /// itself, and the Uniform promotion rule draws per-page coins. Gate
-    /// on [`supports_candidate_retrieval`](Self::supports_candidate_retrieval).
-    pub fn rank_top_k_candidates_into<R: RngCore + ?Sized>(
-        &self,
-        candidates: &MergedCandidates,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Promotion(policy) => {
-                policy.rank_top_k_candidates_into(candidates, k, rng, buffers, out)
-            }
-            PolicyKind::Popularity | PolicyKind::QualityOracle | PolicyKind::FullyRandom => {
-                panic!(
-                    "{} does not rank from shard candidates; serve it from the corpus-wide state",
-                    self.name()
-                )
-            }
-        }
-    }
-
-    /// Whether [`rank_top_k_candidates_into`](Self::rank_top_k_candidates_into)
-    /// can answer for this kind — exactly when the policy reads the pool
-    /// index: selective promotion's top-`k` is a pure function of the
-    /// pool and a non-pool popularity-order prefix, which is precisely
-    /// what shard-local retrieval reassembles. Every other kind needs the
-    /// corpus-wide state (or, for plain popularity ranking, already has a
-    /// cheaper `O(k)` answer in the maintained order).
-    pub fn supports_candidate_retrieval(&self) -> bool {
-        self.reads_pool_index()
-    }
-
-    /// A **full rerank from merged shard state** — the distributed path
-    /// that consumes the complete global popularity order reassembled by
-    /// [`merge_shard_orders_into`](crate::merge_shard_orders_into) and no
-    /// corpus-wide stats snapshot. Plain popularity ranking's answer *is*
-    /// the merged order; promotion forwards to
-    /// [`RandomizedRankPromotion::rank_merged_into`] (both rules — the
-    /// Uniform rule's per-page coins are drawn over `0..order.len()` in
-    /// slot order, so the complete merged order is corpus enough). Output
-    /// is bit-identical to [`rank_pooled_into`](Self::rank_pooled_into)
-    /// over the equivalent corpus-wide view.
-    ///
-    /// # Panics
-    /// Panics for the quality oracle and the fully-random shuffle: their
-    /// permutations read per-page state the popularity-ordered merge does
-    /// not carry.
-    pub fn rank_merged_into<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Popularity => {
-                out.clear();
-                out.extend_from_slice(order);
-            }
-            PolicyKind::QualityOracle | PolicyKind::FullyRandom => panic!(
-                "{} does not rank from merged shard state; it reads per-page state \
-                 the popularity-ordered merge does not carry",
-                self.name()
-            ),
-            PolicyKind::Promotion(policy) => {
-                policy.rank_merged_into(pool, order, in_pool, rng, buffers, out)
-            }
-        }
-    }
-
-    /// The top-`k` prefix of [`rank_merged_into`](Self::rank_merged_into)
-    /// (same panics); for the supported kinds the output equals the
-    /// length-`k` prefix of the full rerank bit for bit.
-    #[allow(clippy::too_many_arguments)]
-    pub fn rank_top_k_merged_into<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        match self {
-            PolicyKind::Popularity => {
-                out.clear();
-                out.extend_from_slice(&order[..k.min(order.len())]);
-            }
-            PolicyKind::QualityOracle | PolicyKind::FullyRandom => panic!(
-                "{} does not rank from merged shard state; it reads per-page state \
-                 the popularity-ordered merge does not carry",
-                self.name()
-            ),
-            PolicyKind::Promotion(policy) => {
-                policy.rank_top_k_merged_into(pool, order, in_pool, k, rng, buffers, out)
-            }
-        }
-    }
-
-    /// Whether the pooled paths actually read the pool index: only the
+    /// Whether ranking actually reads the source's pool: only the
     /// selective promotion rule does. Every other kind either ignores the
     /// pool entirely or (the Uniform rule) must re-draw its per-page
     /// coins, so callers that maintain a [`PoolIndex`](crate::PoolIndex)
@@ -342,7 +140,14 @@ impl RankingPolicy for PolicyKind {
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
-        PolicyKind::rank_into(self, pages, rng, buffers, out)
+        match self {
+            PolicyKind::Popularity => PopularityRanking.rank_order_into(pages, out),
+            PolicyKind::QualityOracle => QualityOracleRanking.rank_order_into(pages, out),
+            PolicyKind::FullyRandom => FullyRandomRanking.shuffle_into(pages, rng, out),
+            PolicyKind::Promotion(policy) => {
+                RankingPolicy::rank_into(policy, pages, rng, buffers, out)
+            }
+        }
     }
 
     fn name(&self) -> String {
@@ -440,96 +245,117 @@ mod tests {
         }
     }
 
-    #[test]
-    fn presorted_path_matches_plain_path_for_every_kind() {
+    /// The source adaptors [`PolicyKind::rank_into`] reads.
+    #[derive(Clone, Copy, PartialEq, Debug)]
+    enum Column {
+        Pooled,
+        Merged,
+        Retrieved,
+    }
+
+    /// The one table: the sources each kind (in `all_kinds` order) ranks
+    /// from. The cells a kind cannot read panic (pinned by the two
+    /// `*_rejects_*` tests below).
+    const TABLE: [&[Column]; 5] = [
+        &[Column::Pooled, Column::Merged],
+        &[Column::Pooled],
+        &[Column::Pooled],
+        &[Column::Pooled, Column::Merged, Column::Retrieved],
+        &[Column::Pooled, Column::Merged],
+    ];
+
+    const FULL: &[Option<usize>] = &[None];
+    const TOP_K: &[Option<usize>] = &[Some(0), Some(1), Some(2), Some(5), Some(30), Some(64)];
+    const ALL_LIMITS: &[Option<usize>] =
+        &[None, Some(0), Some(1), Some(2), Some(5), Some(30), Some(64)];
+
+    /// Every kind whose `TABLE` row holds `column` answers the prefix of
+    /// its reference `rank` bit for bit at every limit in `limits`, off a
+    /// source whose pool the caller built from only `pages` and an order.
+    fn assert_column_matches_reference(column: Column, limits: &[Option<usize>]) {
         let ps = pages();
         let mut sorted: Vec<usize> = (0..ps.len()).collect();
         sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        let pool = crate::PoolIndex::build(&ps);
+        let rest: Vec<usize> = sorted
+            .iter()
+            .copied()
+            .filter(|&s| !pool.contains(s))
+            .collect();
+        let source = match column {
+            Column::Pooled => RankSource::pooled(&ps, &sorted, &pool),
+            Column::Merged => RankSource::merged(pool.members(), pool.mask(), &sorted),
+            Column::Retrieved => RankSource::retrieved(pool.members(), &rest),
+        };
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
-        for kind in all_kinds() {
-            for seed in 0..10 {
-                let expected = kind.rank(&ps, &mut new_rng(seed));
-                kind.rank_presorted_into(&ps, &sorted, &mut new_rng(seed), &mut buffers, &mut out);
-                assert_eq!(out, expected, "{}", kind.name());
-                assert!(is_permutation(&out, ps.len()));
+        for (kind, row) in all_kinds().into_iter().zip(TABLE) {
+            if !row.contains(&column) {
+                continue;
+            }
+            for seed in 0..5 {
+                let full = kind.rank(&ps, &mut new_rng(seed));
+                for &limit in limits {
+                    kind.rank_into(source, limit, &mut new_rng(seed), &mut buffers, &mut out);
+                    let len = limit.unwrap_or(full.len()).min(full.len());
+                    assert_eq!(
+                        out,
+                        full[..len],
+                        "{} {column:?}, {limit:?}, seed={seed}",
+                        kind.name()
+                    );
+                    if limit.is_none() {
+                        assert!(is_permutation(&out, ps.len()), "{}", kind.name());
+                    }
+                }
             }
         }
     }
 
     #[test]
+    fn presorted_path_matches_plain_path_for_every_kind() {
+        assert_column_matches_reference(Column::Pooled, FULL);
+    }
+
+    #[test]
     fn top_k_matches_the_full_rerank_prefix_for_every_kind() {
-        let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let mut buffers = RankBuffers::new();
-        let mut out = Vec::new();
-        for kind in all_kinds() {
-            for seed in 0..10 {
-                let full = kind.rank(&ps, &mut new_rng(seed));
-                for k in [0usize, 1, 2, 5, 10, 30, 64] {
-                    kind.rank_top_k_presorted_into(
-                        &ps,
-                        &sorted,
-                        k,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut out,
-                    );
-                    assert_eq!(
-                        out,
-                        full[..k.min(full.len())],
-                        "{} with k={k}, seed={seed}",
-                        kind.name()
-                    );
-                }
-            }
+        for column in [Column::Pooled, Column::Merged, Column::Retrieved] {
+            assert_column_matches_reference(column, TOP_K);
         }
     }
 
     #[test]
     fn pooled_dispatch_matches_the_full_rerank_prefix_for_every_kind() {
-        let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let pool = crate::PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
-        let mut buffers = RankBuffers::new();
-        let mut out = Vec::new();
-        for kind in all_kinds() {
-            for seed in 0..10 {
-                let full = kind.rank(&ps, &mut new_rng(seed));
-                kind.rank_pooled_into(view, &mut new_rng(seed), &mut buffers, &mut out);
-                assert_eq!(out, full, "{} pooled full", kind.name());
-                for k in [0usize, 1, 2, 5, 10, 30, 64] {
-                    kind.rank_top_k_pooled_into(
-                        view,
-                        k,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut out,
-                    );
-                    assert_eq!(
-                        out,
-                        full[..k.min(full.len())],
-                        "{} pooled with k={k}, seed={seed}",
-                        kind.name()
-                    );
-                }
-            }
-        }
+        assert_eq!(
+            TABLE
+                .iter()
+                .filter(|row| row.contains(&Column::Pooled))
+                .count(),
+            5
+        );
+        assert_column_matches_reference(Column::Pooled, ALL_LIMITS);
     }
 
+    #[test]
+    fn merged_dispatch_matches_the_full_rerank_where_supported() {
+        assert_column_matches_reference(Column::Merged, ALL_LIMITS);
+    }
+
+    /// The retrieved column, fed by real shard retrieval: each shard
+    /// collects its top-`k` candidates off its own indexes and the
+    /// deterministic merge reassembles the global pool and rest prefix.
     #[test]
     fn candidate_dispatch_matches_the_full_rerank_prefix_where_supported() {
         use crate::candidates::{merge_shard_candidates_into, MergedCandidates, ShardCandidates};
         use crate::popindex::PopularityIndex;
         use crate::PoolIndex;
 
+        assert_column_matches_reference(Column::Retrieved, ALL_LIMITS);
         let ps = pages();
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
         let mut merged = MergedCandidates::new();
+        let mut rest = Vec::new();
         for shards in [1usize, 2, 4] {
             let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
             let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
@@ -540,30 +366,28 @@ mod tests {
                 locals[shard].push(local);
                 globals[shard].push(p.slot);
             }
-            for kind in all_kinds()
-                .into_iter()
-                .filter(PolicyKind::supports_candidate_retrieval)
-            {
+            for (kind, row) in all_kinds().into_iter().zip(TABLE) {
+                if !row.contains(&Column::Retrieved) {
+                    continue;
+                }
                 for k in [0usize, 1, 2, 5, 10, 30, 64] {
                     let candidates: Vec<ShardCandidates> = (0..shards)
                         .map(|s| {
                             let order = PopularityIndex::build(&locals[s]);
                             let pool = PoolIndex::build(&locals[s]);
                             let mut c = ShardCandidates::new();
-                            c.collect(
-                                PoolView::new(&locals[s], order.order(), &pool),
-                                k,
-                                &globals[s],
-                            );
+                            c.collect(&locals[s], order.order(), &pool, k, &globals[s]);
                             c
                         })
                         .collect();
                     merge_shard_candidates_into(&candidates, k, &mut merged);
+                    rest.clear();
+                    rest.extend(merged.rest().iter().map(|p| p.slot));
                     for seed in 0..5 {
                         let full = kind.rank(&ps, &mut new_rng(seed));
-                        kind.rank_top_k_candidates_into(
-                            &merged,
-                            k,
+                        kind.rank_into(
+                            RankSource::retrieved(merged.pool(), &rest),
+                            Some(k),
                             &mut new_rng(seed),
                             &mut buffers,
                             &mut out,
@@ -581,70 +405,11 @@ mod tests {
     }
 
     #[test]
-    fn candidate_retrieval_support_matches_what_each_kind_reads() {
-        assert!(PolicyKind::recommended(2).supports_candidate_retrieval());
-        assert!(!PolicyKind::Popularity.supports_candidate_retrieval());
-        assert!(!PolicyKind::QualityOracle.supports_candidate_retrieval());
-        assert!(!PolicyKind::FullyRandom.supports_candidate_retrieval());
-        assert!(!PolicyKind::promotion(
-            PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap()
-        )
-        .supports_candidate_retrieval());
-    }
-
-    #[test]
-    fn merged_dispatch_matches_the_full_rerank_where_supported() {
-        let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
-        let pool = crate::PoolIndex::build(&ps);
-        let mut buffers = RankBuffers::new();
-        let mut out = Vec::new();
-        let supported = [
-            PolicyKind::Popularity,
-            PolicyKind::recommended(2),
-            PolicyKind::promotion(PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap()),
-        ];
-        for kind in supported {
-            for seed in 0..10 {
-                let full = kind.rank(&ps, &mut new_rng(seed));
-                kind.rank_merged_into(
-                    pool.members(),
-                    &sorted,
-                    |s| pool.contains(s),
-                    &mut new_rng(seed),
-                    &mut buffers,
-                    &mut out,
-                );
-                assert_eq!(out, full, "{} merged full, seed={seed}", kind.name());
-                for k in [0usize, 1, 2, 5, 10, 30, 64] {
-                    kind.rank_top_k_merged_into(
-                        pool.members(),
-                        &sorted,
-                        |s| pool.contains(s),
-                        k,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut out,
-                    );
-                    assert_eq!(
-                        out,
-                        full[..k.min(full.len())],
-                        "{} merged with k={k}, seed={seed}",
-                        kind.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
     #[should_panic(expected = "does not rank from merged shard state")]
     fn merged_dispatch_rejects_per_page_state_kinds() {
-        PolicyKind::QualityOracle.rank_merged_into(
-            &[],
-            &[],
-            |_| false,
+        PolicyKind::QualityOracle.rank_into(
+            RankSource::merged(&[], &[], &[]),
+            None,
             &mut new_rng(0),
             &mut RankBuffers::new(),
             &mut Vec::new(),
@@ -654,10 +419,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not rank from shard candidates")]
     fn candidate_dispatch_rejects_whole_corpus_kinds() {
-        use crate::candidates::MergedCandidates;
-        PolicyKind::FullyRandom.rank_top_k_candidates_into(
-            &MergedCandidates::new(),
-            3,
+        PolicyKind::FullyRandom.rank_into(
+            RankSource::retrieved(&[], &[]),
+            Some(3),
             &mut new_rng(0),
             &mut RankBuffers::new(),
             &mut Vec::new(),

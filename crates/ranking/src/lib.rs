@@ -43,6 +43,7 @@ pub mod poolindex;
 pub mod popindex;
 pub mod promotion;
 pub mod randomized;
+pub mod source;
 pub mod stats;
 
 pub use buffers::RankBuffers;
@@ -58,8 +59,9 @@ pub use lazyshuffle::{
 };
 pub use merge::{merge_promoted, merge_promoted_into, merge_promoted_top_k_into};
 pub use policy::{is_permutation, is_permutation_with_scratch, RankingPolicy};
-pub use poolindex::{PoolIndex, PoolView};
+pub use poolindex::PoolIndex;
 pub use popindex::PopularityIndex;
 pub use promotion::{PromotionConfig, PromotionRule};
 pub use randomized::RandomizedRankPromotion;
+pub use source::RankSource;
 pub use stats::{popularity_order, PageStats};

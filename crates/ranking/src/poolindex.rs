@@ -3,17 +3,17 @@
 //! The selective promotion rule's pool `L_p` is the set of unexplored
 //! slots (`awareness == 0`, see
 //! [`PageStats::is_unexplored`](crate::PageStats::is_unexplored)), listed
-//! in ascending slot order before the per-query shuffle. The presorted
-//! ranking path used to *re-derive* that set on every query with an `O(n)`
+//! in ascending slot order before the per-query shuffle. The ranking path
+//! used to *re-derive* that set on every query with an `O(n)`
 //! scan over all pages plus an `O(n)` membership-mask reset — even though
 //! membership flips only where a mutation touched awareness (a first
 //! recorded visit, a retirement, an insert). [`PoolIndex`] applies the same
 //! "repair, don't rebuild" discipline as
 //! [`PopularityIndex`](crate::PopularityIndex): the membership list and its
 //! per-slot mask persist across queries and are patched from the mutation
-//! path's dirty list, so the pooled query path
-//! ([`rank_top_k_pooled_into`](crate::RandomizedRankPromotion::rank_top_k_pooled_into))
-//! touches no per-corpus state at all.
+//! path's dirty list, so a query ranking a
+//! [`RankSource::pooled`](crate::RankSource::pooled) view touches no
+//! per-corpus state at all.
 //!
 //! Why repair is sound: pool membership is a pure per-slot predicate of the
 //! current stats (`is_unexplored`), so a clean slot's membership cannot
@@ -29,33 +29,6 @@
 
 use crate::stats::PageStats;
 use serde::{Deserialize, Serialize};
-
-/// A borrowed view of the persistent per-corpus ranking state that the
-/// pooled query paths rank against: the per-slot statistics snapshot, its
-/// maintained popularity order, and the maintained pool membership. All
-/// three live across queries in their owner (a serving tier's cache, the
-/// simulator's day loop) and are only *read* per query.
-#[derive(Clone, Copy, Debug)]
-pub struct PoolView<'a> {
-    /// The per-slot statistics snapshot (`pages[i].slot == i`).
-    pub pages: &'a [PageStats],
-    /// Slot indices in [`popularity_order`](crate::popularity_order)
-    /// (best rank first).
-    pub sorted: &'a [usize],
-    /// The promotion-pool membership index, consistent with `pages`.
-    pub pool: &'a PoolIndex,
-}
-
-impl<'a> PoolView<'a> {
-    /// Bundle the three maintained structures into a query-time view.
-    pub fn new(pages: &'a [PageStats], sorted: &'a [usize], pool: &'a PoolIndex) -> Self {
-        PoolView {
-            pages,
-            sorted,
-            pool,
-        }
-    }
-}
 
 /// Unexplored slots in ascending slot order, repaired incrementally.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
@@ -82,8 +55,8 @@ pub struct PoolIndex {
 impl PoolIndex {
     /// Build the index with a from-scratch scan of `stats`.
     ///
-    /// Requires dense slot indexing (`stats[i].slot == i`), like every
-    /// consumer of the presorted ranking path.
+    /// Requires dense slot indexing (`stats[i].slot == i`), like
+    /// [`RankSource::pooled`](crate::RankSource::pooled).
     pub fn build(stats: &[PageStats]) -> Self {
         let mut index = PoolIndex::default();
         index.rebuild(stats);
@@ -109,6 +82,13 @@ impl PoolIndex {
     #[inline]
     pub fn members(&self) -> &[usize] {
         &self.members
+    }
+
+    /// The per-slot membership mask (`mask[s]` ⇔ `s` is a member) — the
+    /// filter a [`RankSource::pooled`](crate::RankSource::pooled) view reads.
+    #[inline]
+    pub(crate) fn mask(&self) -> &[bool] {
+        &self.mask
     }
 
     /// Whether `slot` is currently in the pool. `O(1)` off the maintained

@@ -101,23 +101,6 @@ impl PromotionConfig {
         self.start_rank - 1
     }
 
-    /// How many *non-pool* popularity-order entries a shard must
-    /// contribute so a top-`k` candidate retrieval can reassemble every
-    /// rank the merge may fill from the deterministic list `L_d`: the
-    /// protected prefix consumes `min(protected_prefix, k)` entries and
-    /// each later position consumes at most one element of either list,
-    /// so `k` deterministic candidates always suffice — and with `r = 0`
-    /// every one of the `k` ranks comes from `L_d`, so none can be
-    /// spared. One formula, shared by the serving tier's retrieval and
-    /// the conformance suites, so the two can never disagree about the
-    /// candidate budget.
-    #[inline]
-    pub fn candidate_prefix_len(&self, k: usize) -> usize {
-        let protected = self.protected_prefix().min(k);
-        let coin_positions = k - protected;
-        protected + coin_positions
-    }
-
     /// A short label such as `"selective (r=0.10, k=2)"` used in reports.
     pub fn label(&self) -> String {
         format!(
@@ -165,24 +148,6 @@ mod tests {
         assert!(PromotionConfig::new(PromotionRule::Selective, 1, f64::NAN).is_err());
         assert!(PromotionConfig::new(PromotionRule::Uniform, 1, 0.0).is_ok());
         assert!(PromotionConfig::new(PromotionRule::Uniform, 1, 1.0).is_ok());
-    }
-
-    #[test]
-    fn candidate_prefix_budget_is_one_deterministic_entry_per_rank() {
-        // Protected ranks and coin-flip ranks each consume at most one
-        // element of `L_d`, so the budget is exactly `k` for every
-        // configuration — spelled out here so a change to the merge that
-        // invalidates the derivation has a test to argue with.
-        for start_rank in [1usize, 2, 4, 9] {
-            let c = PromotionConfig::new(PromotionRule::Selective, start_rank, 0.3).unwrap();
-            for k in [0usize, 1, 3, 4, 10, 100] {
-                assert_eq!(
-                    c.candidate_prefix_len(k),
-                    k,
-                    "start_rank {start_rank}, k {k}"
-                );
-            }
-        }
     }
 
     #[test]

@@ -17,8 +17,8 @@ use crate::buffers::RankBuffers;
 use crate::lazyshuffle::{merge_promoted_top_k_lazy_into, EngineVersion, LazyShuffle};
 use crate::merge::{merge_promoted_into, merge_promoted_top_k_into};
 use crate::policy::RankingPolicy;
-use crate::poolindex::PoolView;
 use crate::promotion::{PromotionConfig, PromotionRule};
+use crate::source::{fill_rest, RankSource};
 use crate::stats::{popularity_order, PageStats};
 use rand::seq::SliceRandom;
 use rand::{Rng, RngCore};
@@ -67,14 +67,6 @@ impl RandomizedRankPromotion {
         self.version
     }
 
-    /// Whether this policy serves top-k through the v2 lazy shuffle: the
-    /// lazy stream exists only where the pool is consumed front-first
-    /// against a maintained membership set, i.e. the Selective rule (the
-    /// Uniform rule's per-page coins already dominate and stay v1).
-    fn lazy_top_k(&self) -> bool {
-        self.version == EngineVersion::V2 && self.config.rule == PromotionRule::Selective
-    }
-
     /// Split the input into (promotion pool, deterministic remainder),
     /// returning indices into `pages`. Test-only convenience over
     /// [`split_pool_into`](Self::split_pool_into).
@@ -120,534 +112,102 @@ impl RandomizedRankPromotion {
         }
     }
 
-    /// Rank when the caller already maintains the popularity order of all
-    /// pages — the simulator's incremental index or a batch server's
-    /// once-per-batch sort — eliminating the per-call `O(n log n)` sort.
+    /// Rank `source` into `out` (slots, best rank first): all of them for
+    /// `limit = None`, else the first `min(k, n)` ranks of `limit =
+    /// Some(k)`, with the coin-flip merge stopped at rank `k`.
     ///
-    /// Requirements (checked by debug assertions):
+    /// Version × rule × limit picks the draw. Under
+    /// [`EngineVersion::V2`] a Selective top-`k` rank draws the lazy
+    /// [`LazyShuffle`] stream: no pool copy or shuffle, at most `k` swap
+    /// draws (counted in `buffers`). Every other combination draws the v1
+    /// stream — the pool copied and shuffled in full, then the merge —
+    /// whose top-`k` answer is the full answer's prefix bit for bit and
+    /// equals the reference [`RankingPolicy::rank_into`] on the same RNG
+    /// state. The Selective rule reads the pool off `source`; the Uniform
+    /// rule draws one coin per slot over `0..n` in slot order, exactly the
+    /// reference's draws, and ignores the source's pool.
     ///
-    /// * `pages[i].slot == i` for every `i` (dense slot indexing);
-    /// * `sorted` is a permutation of `0..n` ordered by
-    ///   [`popularity_order`].
-    ///
-    /// Consumes exactly the same RNG draws as
-    /// [`rank_into`](RankingPolicy::rank_into) (the pool split and coin-flip
-    /// merge happen in the same order), so the output is byte-identical.
-    ///
-    /// Generic over the RNG so that concrete callers (the simulator day
-    /// loop, the batch server) get a statically dispatched, inlinable
-    /// generator on the hottest loop in the workspace; trait objects still
-    /// work (`R = dyn RngCore`).
-    pub fn rank_presorted_into<R: RngCore + ?Sized>(
-        &self,
-        pages: &[PageStats],
-        sorted: &[usize],
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.build_presorted_lists(pages, sorted, pages.len(), rng, buffers);
-        merge_promoted_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            rng,
-            out,
-        );
-    }
-
-    /// The shared front half of the scanning presorted paths: build `L_p`
-    /// (`buffers.pool`, shuffled) and `L_d` (`buffers.rest`, truncated to
-    /// `rest_limit` entries). One copy serves both the full and top-k
-    /// paths, and the `L_d` filter + pool shuffle tail is shared with the
-    /// pooled builder through [`fill_rest_and_shuffle`] — the paths can
-    /// never drift apart in their RNG draws, which the top-k ≡
-    /// full-prefix and pooled ≡ scanning invariants depend on.
-    ///
-    /// Pool membership is recorded in input (slot) order — the same
-    /// iteration, and for Uniform the same coin flips, as
-    /// `split_pool_into`. Because `pages[i].slot == i`, pool entries are
-    /// already slot indices. Both rules record membership in the dense
-    /// per-slot mask with one sequential pass, so the `L_d` filter reads an
-    /// L1-resident bitmap instead of gathering from the much larger stats
-    /// array in popularity order; the filter reads straight off the
-    /// precomputed index instead of sorting, and stops at `rest_limit`
-    /// matches (only the first `k` non-pool slots can surface in `k`
-    /// ranks). The pool is always built and shuffled in full: its size and
-    /// shuffle order are observable within any output prefix.
-    fn build_presorted_lists<R: RngCore + ?Sized>(
-        &self,
-        pages: &[PageStats],
-        sorted: &[usize],
-        rest_limit: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-    ) {
-        debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
-        debug_assert_eq!(sorted.len(), pages.len());
-        debug_assert!(sorted
-            .windows(2)
-            .all(|w| popularity_order(&pages[w[0]], &pages[w[1]]).is_lt()));
-
-        buffers.reset_mask(pages.len());
-        let RankBuffers {
-            pool, rest, mask, ..
-        } = buffers;
-        pool.clear();
-        match self.config.rule {
-            PromotionRule::Selective => {
-                for p in pages.iter() {
-                    if p.is_unexplored() {
-                        mask[p.slot] = true;
-                        pool.push(p.slot);
-                    }
-                }
-            }
-            PromotionRule::Uniform => {
-                for p in pages.iter() {
-                    if rng.gen::<f64>() < self.config.degree {
-                        mask[p.slot] = true;
-                        pool.push(p.slot);
-                    }
-                }
-            }
-        }
-        fill_rest_and_shuffle(sorted, |s| mask[s], rest_limit, rng, pool, rest);
-    }
-
-    /// The pooled front half: build `L_p` and `L_d` from a *persistent*
-    /// [`PoolIndex`](crate::PoolIndex) instead of scanning all `n` pages and resetting the
-    /// membership mask per query.
-    ///
-    /// For the Selective rule the pool is copied straight off
-    /// [`PoolIndex::members`](crate::PoolIndex::members) — ascending slot order, exactly the order the
-    /// per-page scan would have pushed — and the deterministic remainder
-    /// filters `sorted` through the index's maintained membership mask,
-    /// stopping after `rest_limit` matches: `O(pool + rest_limit)` total,
-    /// with no per-corpus pass and no mask reset. The Uniform rule *must*
-    /// still draw one coin per page in slot order (the coins are part of
-    /// the observable RNG stream), so it falls back to
-    /// [`build_presorted_lists`](Self::build_presorted_lists) and ignores
-    /// the index. Either way the RNG draws are identical to the scanning
-    /// path, so outputs stay byte-identical.
-    fn build_pooled_lists<R: RngCore + ?Sized>(
-        &self,
-        view: PoolView<'_>,
-        rest_limit: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-    ) {
-        let PoolView {
-            pages,
-            sorted,
-            pool,
-        } = view;
-        if self.config.rule == PromotionRule::Uniform {
-            self.build_presorted_lists(pages, sorted, rest_limit, rng, buffers);
-            return;
-        }
-        debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
-        debug_assert_eq!(sorted.len(), pages.len());
-        debug_assert!(sorted
-            .windows(2)
-            .all(|w| popularity_order(&pages[w[0]], &pages[w[1]]).is_lt()));
-        debug_assert!(
-            pool.is_consistent(pages),
-            "the pool index must match a fresh is_unexplored scan"
-        );
-
-        let RankBuffers {
-            pool: pool_buf,
-            rest,
-            ..
-        } = buffers;
-        pool_buf.clear();
-        pool_buf.extend_from_slice(pool.members());
-        fill_rest_and_shuffle(
-            sorted,
-            |s| pool.contains(s),
-            rest_limit,
-            rng,
-            pool_buf,
-            rest,
-        );
-    }
-
-    /// [`rank_presorted_into`](Self::rank_presorted_into) against a
-    /// persistent pool: the [`PoolView`] bundles the stats snapshot, its
-    /// popularity order, and a [`PoolIndex`](crate::PoolIndex) consistent
-    /// with the stats (checked by a debug assertion). Output and RNG
-    /// consumption are byte-identical to the scanning path; the Selective
-    /// rule skips the per-query `O(n)` pool scan and mask reset entirely.
-    pub fn rank_pooled_into<R: RngCore + ?Sized>(
-        &self,
-        view: PoolView<'_>,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.build_pooled_lists(view, view.pages.len(), rng, buffers);
-        merge_promoted_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            rng,
-            out,
-        );
-    }
-
-    /// The top-`k` prefix of [`rank_pooled_into`](Self::rank_pooled_into):
-    /// the truly `O(pool + k)` query path. The Selective rule copies the
-    /// pool off the index, filters at most `pool + k` entries of `sorted`,
-    /// shuffles the pool, and stops the coin-flip merge at rank `k` —
-    /// nothing per-corpus remains. Output equals the length-`k` prefix of
-    /// the full rerank bit for bit.
-    ///
-    /// Under [`EngineVersion::V2`] the Selective rule goes further and is
-    /// `O(k)` outright: the pool is neither copied nor shuffled — a
-    /// [`LazyShuffle`] over the index's members draws one swap index per
-    /// pool entry the merge actually consumes. The v2 output is *not* the
-    /// full-rerank prefix (the lazy stream is its own, separately
-    /// golden-pinned), but its promoted-slot distribution is equivalent.
-    pub fn rank_top_k_pooled_into<R: RngCore + ?Sized>(
-        &self,
-        view: PoolView<'_>,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        if self.lazy_top_k() {
-            let PoolView {
-                pages,
-                sorted,
-                pool,
-            } = view;
-            debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
-            debug_assert_eq!(sorted.len(), pages.len());
-            debug_assert!(
-                pool.is_consistent(pages),
-                "the pool index must match a fresh is_unexplored scan"
-            );
-            self.rank_top_k_lazy(
-                pool.members(),
-                sorted,
-                |s| pool.contains(s),
-                k,
-                rng,
-                buffers,
-                out,
-            );
-            return;
-        }
-        self.build_pooled_lists(view, k, rng, buffers);
-        merge_promoted_top_k_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            k,
-            rng,
-            out,
-        );
-    }
-
-    /// The shared v2 back half: fill `L_d` with the first `k` non-pool
-    /// entries of `order` (no RNG draws — identical filter to v1) and run
-    /// the lazy coin-flip merge over the unshuffled pool. Exactly one copy
-    /// of this sequence serves the pooled, retrieved and merged-order v2
-    /// routes, so they can never drift apart in their draws.
-    #[allow(clippy::too_many_arguments)]
-    fn rank_top_k_lazy<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let draws = {
-            let RankBuffers { rest, overlay, .. } = &mut *buffers;
-            rest.clear();
-            rest.extend(order.iter().copied().filter(|&s| !in_pool(s)).take(k));
-            let mut lazy = LazyShuffle::new(pool, overlay);
-            merge_promoted_top_k_lazy_into(
-                rest,
-                &mut lazy,
-                self.config.start_rank,
-                self.config.degree,
-                k,
-                rng,
-                out,
-            );
-            lazy.draws()
-        };
-        buffers.count_pool_draws(draws);
-    }
-
-    /// The top-`k` prefix of the full rerank, computed from **merged shard
-    /// candidates** instead of any corpus-wide structure — the serving
-    /// tier's shard-retrieval path. `candidates` must come from
-    /// [`merge_shard_candidates_into`](crate::merge_shard_candidates_into)
-    /// with a limit of at least
-    /// [`candidate_prefix_len(k)`](PromotionConfig::candidate_prefix_len):
-    /// its pool is then byte-identical (content *and* pre-shuffle order)
-    /// to the global [`PoolIndex`](crate::PoolIndex) members and its rest
-    /// prefix to the first `k` non-pool entries of the global popularity
-    /// order, so the shuffle and every merge coin consume exactly the RNG
-    /// draws of [`rank_top_k_pooled_into`](Self::rank_top_k_pooled_into)
-    /// — the output (global slots) is bit-identical to the length-`k`
-    /// prefix of the full corpus-wide rerank.
+    /// Generic over the RNG so concrete callers (the simulator day loop,
+    /// the serving tier) get a statically dispatched generator.
     ///
     /// # Panics
-    /// Panics for the Uniform rule: its per-page coins are part of the
-    /// observable RNG stream and require a pass over the whole corpus, so
-    /// no candidate set short of "everything" can reproduce them. Callers
-    /// gate on [`PolicyKind::reads_pool_index`](crate::PolicyKind::reads_pool_index)
-    /// (or equivalent) before retrieving candidates.
-    pub fn rank_top_k_candidates_into<R: RngCore + ?Sized>(
-        &self,
-        candidates: &crate::MergedCandidates,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        let RankBuffers { rest, .. } = buffers;
-        rest.clear();
-        rest.extend(candidates.rest().iter().take(k).map(|p| p.slot));
-        let rest = std::mem::take(rest);
-        self.rank_top_k_retrieved_into(candidates.pool(), &rest, k, rng, buffers, out);
-        buffers.rest = rest;
-    }
-
-    /// The primitive under
-    /// [`rank_top_k_candidates_into`](Self::rank_top_k_candidates_into):
-    /// rank from an already-assembled global pool (pre-shuffle order,
-    /// i.e. ascending slot) and non-pool order prefix (at least
-    /// `min(k, available)` slots, best rank first). A serving tier whose
-    /// pool half is *maintained* rather than re-merged per query — pool
-    /// membership only moves on mutation — feeds it here directly and
-    /// pays `O(pool)` only for the mandatory copy-and-shuffle. There is
-    /// exactly one copy of this draw sequence, shared by the candidate
-    /// path and the goldens pinning it, so the two can never diverge.
-    ///
-    /// Under [`EngineVersion::V2`] even the copy-and-shuffle disappears:
-    /// the lazy shuffle draws one swap index per consumed pool entry, so
-    /// the whole query is `O(k)` and consumes the same stream as the v2
-    /// pooled path.
-    ///
-    /// # Panics
-    /// Panics for the Uniform rule: its per-page coins are part of the
-    /// observable RNG stream and require a pass over the whole corpus, so
-    /// no candidate set short of "everything" can reproduce them. Callers
-    /// gate on [`PolicyKind::reads_pool_index`](crate::PolicyKind::reads_pool_index)
-    /// (or equivalent) before retrieving candidates.
-    pub fn rank_top_k_retrieved_into<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        rest: &[usize],
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        assert_eq!(
-            self.config.rule,
-            PromotionRule::Selective,
-            "the Uniform rule draws per-page coins and cannot rank from shard candidates"
-        );
-        if self.version == EngineVersion::V2 {
-            // `rest` is already retrieved and pool-free; the shared v2
-            // back half only truncates it to `k`.
-            self.rank_top_k_lazy(pool, rest, |_| false, k, rng, buffers, out);
-            return;
-        }
-        let RankBuffers { pool: pool_buf, .. } = buffers;
-        pool_buf.clear();
-        pool_buf.extend_from_slice(pool);
-        pool_buf.shuffle(rng);
-        merge_promoted_top_k_into(
-            &rest[..k.min(rest.len())],
-            pool_buf,
-            self.config.start_rank,
-            self.config.degree,
-            k,
-            rng,
-            out,
-        );
-    }
-
-    /// The front half of the merged-order paths: build `L_p` and `L_d`
-    /// from a reassembled **global popularity order** (`order`, complete —
-    /// e.g. from
-    /// [`merge_shard_orders_into`](crate::merge_shard_orders_into)) with
-    /// no corpus-wide stats snapshot in sight.
-    ///
-    /// The Selective rule copies `pool` (the global pool in pre-shuffle,
-    /// ascending-slot order) and filters `order` through `in_pool`,
-    /// exactly as [`build_pooled_lists`](Self::build_pooled_lists) does
-    /// against a corpus-wide [`PoolIndex`](crate::PoolIndex). The Uniform
-    /// rule ignores `pool` and `in_pool` entirely (`in_pool` is never
-    /// invoked): its mandatory per-page coins are drawn in slot order —
-    /// one per slot `0..order.len()`, the same draws as the scanning
-    /// path's pass over `pages` — into the membership mask, and `order` is
-    /// filtered through that. Either way the RNG draws are identical to
-    /// the corpus-wide paths, so outputs stay byte-identical.
-    fn build_merged_lists<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        rest_limit: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-    ) {
-        match self.config.rule {
-            PromotionRule::Selective => {
-                debug_assert!(pool.windows(2).all(|w| w[0] < w[1]));
-                let RankBuffers {
-                    pool: pool_buf,
-                    rest,
-                    ..
-                } = buffers;
-                pool_buf.clear();
-                pool_buf.extend_from_slice(pool);
-                fill_rest_and_shuffle(order, in_pool, rest_limit, rng, pool_buf, rest);
-            }
-            PromotionRule::Uniform => {
-                buffers.reset_mask(order.len());
-                let RankBuffers {
-                    pool: pool_buf,
-                    rest,
-                    mask,
-                    ..
-                } = buffers;
-                pool_buf.clear();
-                for (slot, promoted) in mask.iter_mut().enumerate().take(order.len()) {
-                    if rng.gen::<f64>() < self.config.degree {
-                        *promoted = true;
-                        pool_buf.push(slot);
-                    }
-                }
-                fill_rest_and_shuffle(order, |s| mask[s], rest_limit, rng, pool_buf, rest);
-            }
-        }
-    }
-
-    /// A **full rerank from merged shard state**: rank against the
-    /// complete global popularity order reassembled by the deterministic
-    /// shard merge, with no corpus-wide stats snapshot, order, or pool
-    /// index anywhere. `order` must be the complete merged popularity
-    /// order (global slots); `pool` the global pool in pre-shuffle
-    /// (ascending-slot) order and `in_pool` its membership predicate —
-    /// both read only by the Selective rule, whose pool a sharded cache
-    /// tier maintains across queries. The Uniform rule draws its per-page
-    /// coins over `0..order.len()` in slot order, exactly the scanning
-    /// path's draws. Output (global slots) is bit-identical to
-    /// [`rank_pooled_into`](Self::rank_pooled_into) over the equivalent
-    /// corpus-wide view.
-    pub fn rank_merged_into<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.build_merged_lists(pool, order, in_pool, order.len(), rng, buffers);
-        merge_promoted_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            rng,
-            out,
-        );
-    }
-
-    /// The top-`k` prefix of [`rank_merged_into`](Self::rank_merged_into):
-    /// `L_d` is materialised only up to its first `k` entries and the
-    /// coin-flip merge stops at rank `k`. Unlike the candidate-retrieval
-    /// path this serves the Uniform rule too (the complete merged order is
-    /// enough corpus for its per-page coins); output equals the length-`k`
-    /// prefix of the full rerank bit for bit. Under [`EngineVersion::V2`]
-    /// the Selective rule draws the lazy `O(k)` stream instead (its own
-    /// golden set; the Uniform rule stays v1-identical).
-    #[allow(clippy::too_many_arguments)]
-    pub fn rank_top_k_merged_into<R: RngCore + ?Sized>(
-        &self,
-        pool: &[usize],
-        order: &[usize],
-        in_pool: impl Fn(usize) -> bool,
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        if self.lazy_top_k() {
-            debug_assert!(pool.windows(2).all(|w| w[0] < w[1]));
-            self.rank_top_k_lazy(pool, order, in_pool, k, rng, buffers, out);
-            return;
-        }
-        self.build_merged_lists(pool, order, in_pool, k, rng, buffers);
-        merge_promoted_top_k_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            k,
-            rng,
-            out,
-        );
-    }
-
-    /// The top-`k` prefix of
-    /// [`rank_presorted_into`](Self::rank_presorted_into), emitting only the
-    /// first `k` ranks and stopping the coin-flip merge early.
-    ///
-    /// Same requirements as `rank_presorted_into` (dense slots, `sorted` in
-    /// [`popularity_order`]); the output equals the length-`k` prefix of the
-    /// full rerank bit for bit (`min(k, n)` entries). The pool split and the
-    /// pool shuffle still run in full — their RNG draws shape the prefix —
-    /// but `L_d` is materialised only up to its first `k` entries (at most
-    /// `k` deterministic elements can surface in `k` ranks) and the merge
-    /// stops at rank `k`, so the per-query cost past the split drops from
-    /// `O(n)` to `O(pool + k)`.
-    pub fn rank_top_k_presorted_into<R: RngCore + ?Sized>(
-        &self,
-        pages: &[PageStats],
-        sorted: &[usize],
-        k: usize,
-        rng: &mut R,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        self.build_presorted_lists(pages, sorted, k, rng, buffers);
-        merge_promoted_top_k_into(
-            &buffers.rest,
-            &buffers.pool,
-            self.config.start_rank,
-            self.config.degree,
-            k,
-            rng,
-            out,
-        );
-    }
-
-    /// Statically dispatched implementation of
-    /// [`RankingPolicy::rank_into`]; the trait method forwards here
-    /// (inherent methods win name resolution), so concrete callers inline
-    /// their generator while `dyn RankingPolicy` users keep working.
+    /// Panics for the Uniform rule on a
+    /// [`retrieved`](RankSource::retrieved) source: its per-page coins
+    /// need every slot, which no candidate set short of the complete order
+    /// carries.
     pub fn rank_into<R: RngCore + ?Sized>(
         &self,
-        pages: &[PageStats],
+        source: RankSource<'_>,
+        limit: Option<usize>,
         rng: &mut R,
+        buffers: &mut RankBuffers,
+        out: &mut Vec<usize>,
+    ) {
+        let PromotionConfig {
+            rule,
+            start_rank,
+            degree,
+        } = self.config;
+        match (rule, limit) {
+            (PromotionRule::Selective, Some(k)) if self.version == EngineVersion::V2 => {
+                debug_assert!(source.pool_matches_pages());
+                let draws = {
+                    let RankBuffers { rest, overlay, .. } = &mut *buffers;
+                    source.fill_rest(k, rest);
+                    let mut lazy = LazyShuffle::new(source.pool, overlay);
+                    merge_promoted_top_k_lazy_into(
+                        rest, &mut lazy, start_rank, degree, k, rng, out,
+                    );
+                    lazy.draws()
+                };
+                buffers.count_pool_draws(draws);
+                return;
+            }
+            (PromotionRule::Selective, _) => {
+                debug_assert!(source.pool_matches_pages());
+                let RankBuffers { pool, rest, .. } = &mut *buffers;
+                pool.clear();
+                pool.extend_from_slice(source.pool);
+                source.fill_rest(limit.unwrap_or(usize::MAX), rest);
+            }
+            (PromotionRule::Uniform, _) => {
+                assert!(
+                    !source.is_retrieved(),
+                    "the Uniform rule draws per-page coins and cannot rank from shard candidates"
+                );
+                let n = source.order.len();
+                buffers.reset_mask(n);
+                let RankBuffers {
+                    pool, rest, mask, ..
+                } = &mut *buffers;
+                pool.clear();
+                for (slot, promoted) in mask.iter_mut().enumerate() {
+                    if rng.gen::<f64>() < degree {
+                        *promoted = true;
+                        pool.push(slot);
+                    }
+                }
+                fill_rest(source.order, Some(mask), limit.unwrap_or(usize::MAX), rest);
+            }
+        }
+        let RankBuffers { pool, rest, .. } = buffers;
+        pool.shuffle(rng);
+        match limit {
+            None => merge_promoted_into(rest, pool, start_rank, degree, rng, out),
+            Some(k) => merge_promoted_top_k_into(rest, pool, start_rank, degree, k, rng, out),
+        }
+    }
+}
+
+impl RankingPolicy for RandomizedRankPromotion {
+    /// The reference path over raw, unsorted `pages`: split the pool, sort
+    /// the rest, merge. Consumes the same RNG draws as a v1
+    /// [`rank_into`](RandomizedRankPromotion::rank_into) over any source
+    /// built from the same pages.
+    fn rank_into(
+        &self,
+        pages: &[PageStats],
+        rng: &mut dyn RngCore,
         buffers: &mut RankBuffers,
         out: &mut Vec<usize>,
     ) {
@@ -679,43 +239,6 @@ impl RandomizedRankPromotion {
             rng,
             out,
         );
-    }
-}
-
-/// The shared tail of both list builders: fill `rest` with the first
-/// `rest_limit` entries of `sorted` outside the pool, then shuffle `pool`
-/// in place. There is exactly one copy of this draw sequence — the
-/// scanning and pooled front halves differ only in how they *source* pool
-/// membership (freshly scanned mask vs. persistent index), so an edit to
-/// the filter or the shuffle can never diverge their RNG streams.
-fn fill_rest_and_shuffle<R: RngCore + ?Sized>(
-    sorted: &[usize],
-    in_pool: impl Fn(usize) -> bool,
-    rest_limit: usize,
-    rng: &mut R,
-    pool: &mut [usize],
-    rest: &mut Vec<usize>,
-) {
-    rest.clear();
-    rest.extend(
-        sorted
-            .iter()
-            .copied()
-            .filter(|&s| !in_pool(s))
-            .take(rest_limit),
-    );
-    pool.shuffle(rng);
-}
-
-impl RankingPolicy for RandomizedRankPromotion {
-    fn rank_into(
-        &self,
-        pages: &[PageStats],
-        rng: &mut dyn RngCore,
-        buffers: &mut RankBuffers,
-        out: &mut Vec<usize>,
-    ) {
-        RandomizedRankPromotion::rank_into(self, pages, rng, buffers, out)
     }
 
     fn name(&self) -> String {
@@ -864,11 +387,34 @@ mod tests {
         assert_eq!(head, vec![5, 6, 7, 8, 9]);
     }
 
+    /// The popularity order of `ps` (slot indices, best rank first).
+    fn sorted(ps: &[PageStats]) -> Vec<usize> {
+        let mut sorted: Vec<usize> = (0..ps.len()).collect();
+        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        sorted
+    }
+
+    /// Partition `ps` into `shards` shard-local corpora with dense local
+    /// slots, as a sharded cache tier holds them: per shard, the local
+    /// stats and the local → global slot map.
+    fn partition(ps: &[PageStats], shards: usize) -> Vec<(Vec<PageStats>, Vec<usize>)> {
+        let mut parts: Vec<(Vec<PageStats>, Vec<usize>)> = vec![Default::default(); shards];
+        for p in ps {
+            let (locals, globals) = &mut parts[(p.slot * 5 + 1) % shards];
+            let mut local = *p;
+            local.slot = locals.len();
+            locals.push(local);
+            globals.push(p.slot);
+        }
+        parts
+    }
+
     #[test]
     fn top_k_presorted_equals_the_full_rerank_prefix() {
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        let sorted = sorted(&ps);
+        let pool = PoolIndex::build(&ps);
+        let source = RankSource::pooled(&ps, &sorted, &pool);
         let mut buffers = RankBuffers::new();
         let mut full = Vec::new();
         let mut topk = Vec::new();
@@ -878,26 +424,18 @@ mod tests {
                     PromotionConfig::new(rule, start_rank, 0.3).unwrap(),
                 );
                 for seed in 0..20 {
-                    policy.rank_presorted_into(
-                        &ps,
-                        &sorted,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut full,
-                    );
-                    let reference = full.clone();
+                    policy.rank_into(source, None, &mut new_rng(seed), &mut buffers, &mut full);
                     for k in [0usize, 1, 3, 5, 10, 50] {
-                        policy.rank_top_k_presorted_into(
-                            &ps,
-                            &sorted,
-                            k,
+                        policy.rank_into(
+                            source,
+                            Some(k),
                             &mut new_rng(seed),
                             &mut buffers,
                             &mut topk,
                         );
                         assert_eq!(
                             topk,
-                            reference[..k.min(reference.len())],
+                            full[..k.min(full.len())],
                             "{rule:?}, k={k}, start_rank={start_rank}, seed={seed}"
                         );
                     }
@@ -909,41 +447,20 @@ mod tests {
     #[test]
     fn pooled_paths_match_the_scanning_paths_for_both_rules() {
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
+        let source = RankSource::pooled(&ps, &sorted, &pool);
         let mut buffers = RankBuffers::new();
-        let (mut scan, mut pooled) = (Vec::new(), Vec::new());
+        let mut pooled = Vec::new();
         for rule in [PromotionRule::Selective, PromotionRule::Uniform] {
             for start_rank in [1usize, 2, 4] {
                 let policy = RandomizedRankPromotion::new(
                     PromotionConfig::new(rule, start_rank, 0.4).unwrap(),
                 );
                 for seed in 0..20 {
-                    policy.rank_presorted_into(
-                        &ps,
-                        &sorted,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut scan,
-                    );
-                    policy.rank_pooled_into(view, &mut new_rng(seed), &mut buffers, &mut pooled);
+                    let scan = policy.rank(&ps, &mut new_rng(seed));
+                    policy.rank_into(source, None, &mut new_rng(seed), &mut buffers, &mut pooled);
                     assert_eq!(pooled, scan, "{rule:?}, k={start_rank}, seed={seed}");
-                    for k in [0usize, 1, 3, 5, 10, 50] {
-                        policy.rank_top_k_pooled_into(
-                            view,
-                            k,
-                            &mut new_rng(seed),
-                            &mut buffers,
-                            &mut pooled,
-                        );
-                        assert_eq!(
-                            pooled,
-                            scan[..k.min(scan.len())],
-                            "top-k {rule:?}, k={k}, seed={seed}"
-                        );
-                    }
                 }
             }
         }
@@ -955,57 +472,45 @@ mod tests {
         use crate::popindex::PopularityIndex;
 
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
+        let source = RankSource::pooled(&ps, &sorted, &pool);
         let mut buffers = RankBuffers::new();
         let (mut pooled, mut from_candidates) = (Vec::new(), Vec::new());
         let mut merged = MergedCandidates::new();
 
         for shards in [1usize, 2, 3] {
-            // Partition the corpus into shard-local corpora with dense
-            // local slots, exactly as a sharded cache tier would hold it.
-            let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
-            let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
-            for p in &ps {
-                let shard = (p.slot * 5 + 1) % shards;
-                let mut local = *p;
-                local.slot = locals[shard].len();
-                locals[shard].push(local);
-                globals[shard].push(p.slot);
-            }
+            let parts = partition(&ps, shards);
             for start_rank in [1usize, 2, 4] {
                 let policy = RandomizedRankPromotion::new(
                     PromotionConfig::new(PromotionRule::Selective, start_rank, 0.4).unwrap(),
                 );
                 for k in [0usize, 1, 3, 5, 10, 50] {
-                    let limit = policy.config().candidate_prefix_len(k);
-                    let candidates: Vec<ShardCandidates> = (0..shards)
-                        .map(|s| {
-                            let order = PopularityIndex::build(&locals[s]);
-                            let shard_pool = PoolIndex::build(&locals[s]);
+                    // `k` rest candidates per shard suffice for a top-`k`.
+                    let candidates: Vec<ShardCandidates> = parts
+                        .iter()
+                        .map(|(locals, globals)| {
+                            let order = PopularityIndex::build(locals);
+                            let shard_pool = PoolIndex::build(locals);
                             let mut c = ShardCandidates::new();
-                            c.collect(
-                                PoolView::new(&locals[s], order.order(), &shard_pool),
-                                limit,
-                                &globals[s],
-                            );
+                            c.collect(locals, order.order(), &shard_pool, k, globals);
                             c
                         })
                         .collect();
-                    merge_shard_candidates_into(&candidates, limit, &mut merged);
+                    merge_shard_candidates_into(&candidates, k, &mut merged);
+                    let rest: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
+                    let retrieved = RankSource::retrieved(merged.pool(), &rest);
                     for seed in 0..10 {
-                        policy.rank_top_k_pooled_into(
-                            view,
-                            k,
+                        policy.rank_into(
+                            source,
+                            Some(k),
                             &mut new_rng(seed),
                             &mut buffers,
                             &mut pooled,
                         );
-                        policy.rank_top_k_candidates_into(
-                            &merged,
-                            k,
+                        policy.rank_into(
+                            retrieved,
+                            Some(k),
                             &mut new_rng(seed),
                             &mut buffers,
                             &mut from_candidates,
@@ -1025,45 +530,35 @@ mod tests {
         use crate::candidates::merge_shard_orders_into;
 
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
         let mut buffers = RankBuffers::new();
-        let (mut scan, mut merged_out) = (Vec::new(), Vec::new());
+        let mut merged_out = Vec::new();
 
         for shards in [1usize, 2, 3] {
             // Shard the corpus and reassemble the complete global order
             // through the k-way merge, as the serving tier does.
-            let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
-            let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
-            for p in &ps {
-                let shard = (p.slot * 5 + 1) % shards;
-                let mut local = *p;
-                local.slot = locals[shard].len();
-                locals[shard].push(local);
-                globals[shard].push(p.slot);
-            }
-            let shard_orders: Vec<Vec<usize>> = (0..shards)
-                .map(|s| {
-                    let mut order: Vec<usize> = (0..locals[s].len()).collect();
-                    order.sort_unstable_by(|&a, &b| popularity_order(&locals[s][a], &locals[s][b]));
-                    order
-                })
+            let parts = partition(&ps, shards);
+            let shard_orders: Vec<Vec<usize>> = parts
+                .iter()
+                .map(|(locals, _)| self::sorted(locals))
                 .collect();
             let (mut heads, mut order) = (Vec::new(), Vec::new());
             merge_shard_orders_into(
                 shards,
                 |s| shard_orders[s].len(),
                 |s, i| {
+                    let (locals, globals) = &parts[s];
                     let local = shard_orders[s][i];
-                    let mut stat = locals[s][local];
-                    stat.slot = globals[s][local];
+                    let mut stat = locals[local];
+                    stat.slot = globals[local];
                     stat
                 },
                 &mut heads,
                 &mut order,
             );
             assert_eq!(order, sorted, "{shards} shards: merged order is global");
+            let source = RankSource::merged(pool.members(), pool.mask(), &order);
 
             for rule in [PromotionRule::Selective, PromotionRule::Uniform] {
                 for start_rank in [1usize, 2, 4] {
@@ -1071,30 +566,10 @@ mod tests {
                         PromotionConfig::new(rule, start_rank, 0.4).unwrap(),
                     );
                     for seed in 0..10 {
-                        policy.rank_presorted_into(
-                            &ps,
-                            &sorted,
-                            &mut new_rng(seed),
-                            &mut buffers,
-                            &mut scan,
-                        );
-                        policy.rank_merged_into(
-                            pool.members(),
-                            &order,
-                            |s| pool.contains(s),
-                            &mut new_rng(seed),
-                            &mut buffers,
-                            &mut merged_out,
-                        );
-                        assert_eq!(
-                            merged_out, scan,
-                            "full merged {rule:?}, {shards} shards, start_rank {start_rank}, seed {seed}"
-                        );
-                        for k in [0usize, 1, 3, 5, 10, 50] {
-                            policy.rank_top_k_merged_into(
-                                pool.members(),
-                                &order,
-                                |s| pool.contains(s),
+                        let scan = policy.rank(&ps, &mut new_rng(seed));
+                        for k in [None, Some(0), Some(1), Some(3), Some(5), Some(10), Some(50)] {
+                            policy.rank_into(
+                                source,
                                 k,
                                 &mut new_rng(seed),
                                 &mut buffers,
@@ -1102,8 +577,8 @@ mod tests {
                             );
                             assert_eq!(
                                 merged_out,
-                                scan[..k.min(scan.len())],
-                                "top-k merged {rule:?}, {shards} shards, k {k}, seed {seed}"
+                                scan[..k.unwrap_or(scan.len()).min(scan.len())],
+                                "merged {rule:?}, {shards} shards, {k:?}, seed {seed}"
                             );
                         }
                     }
@@ -1115,13 +590,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "per-page coins")]
     fn candidate_path_rejects_the_uniform_rule() {
-        use crate::candidates::MergedCandidates;
         let policy = RandomizedRankPromotion::new(
             PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap(),
         );
-        policy.rank_top_k_candidates_into(
-            &MergedCandidates::new(),
-            3,
+        policy.rank_into(
+            RankSource::retrieved(&[], &[]),
+            Some(3),
             &mut new_rng(0),
             &mut RankBuffers::new(),
             &mut Vec::new(),
@@ -1131,31 +605,21 @@ mod tests {
     #[test]
     fn pooled_selective_path_never_resets_the_mask() {
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
+        let source = RankSource::pooled(&ps, &sorted, &pool);
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
 
         let selective = RandomizedRankPromotion::recommended(2);
-        selective.rank_top_k_pooled_into(view, 5, &mut new_rng(3), &mut buffers, &mut out);
+        selective.rank_into(source, Some(5), &mut new_rng(3), &mut buffers, &mut out);
+        selective.rank_into(source, None, &mut new_rng(3), &mut buffers, &mut out);
         assert_eq!(buffers.take_mask_resets(), 0, "selective pooled: no reset");
-
-        selective.rank_top_k_presorted_into(
-            &ps,
-            &sorted,
-            5,
-            &mut new_rng(3),
-            &mut buffers,
-            &mut out,
-        );
-        assert_eq!(buffers.take_mask_resets(), 1, "scanning path resets once");
 
         let uniform = RandomizedRankPromotion::new(
             PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap(),
         );
-        uniform.rank_top_k_pooled_into(view, 5, &mut new_rng(3), &mut buffers, &mut out);
+        uniform.rank_into(source, Some(5), &mut new_rng(3), &mut buffers, &mut out);
         assert_eq!(
             buffers.take_mask_resets(),
             1,
@@ -1165,15 +629,11 @@ mod tests {
 
     #[test]
     fn v2_routes_agree_and_draw_at_most_k_swaps() {
-        use crate::lazyshuffle::EngineVersion;
-
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
         let mut buffers = RankBuffers::new();
-        let (mut pooled, mut merged, mut retrieved) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut pooled, mut other) = (Vec::new(), Vec::new());
         for start_rank in [1usize, 2, 4] {
             let policy = RandomizedRankPromotion::new(
                 PromotionConfig::new(PromotionRule::Selective, start_rank, 0.4).unwrap(),
@@ -1181,43 +641,36 @@ mod tests {
             .with_version(EngineVersion::V2);
             assert_eq!(policy.version(), EngineVersion::V2);
             for k in [0usize, 1, 3, 5, 10, 50] {
+                let rest_slots: Vec<usize> = sorted
+                    .iter()
+                    .copied()
+                    .filter(|&s| !pool.contains(s))
+                    .take(k)
+                    .collect();
                 for seed in 0..20 {
-                    policy.rank_top_k_pooled_into(
-                        view,
-                        k,
+                    policy.rank_into(
+                        RankSource::pooled(&ps, &sorted, &pool),
+                        Some(k),
                         &mut new_rng(seed),
                         &mut buffers,
                         &mut pooled,
                     );
                     let draws = buffers.take_pool_draws();
                     assert!(draws <= k as u64, "k={k}, seed={seed}: {draws} draws");
-                    policy.rank_top_k_merged_into(
-                        pool.members(),
-                        &sorted,
-                        |s| pool.contains(s),
-                        k,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut merged,
-                    );
-                    assert_eq!(merged, pooled, "merged≡pooled, k={k}, seed={seed}");
-                    assert_eq!(buffers.take_pool_draws(), draws, "merged draw count");
-                    let rest_slots: Vec<usize> = sorted
-                        .iter()
-                        .copied()
-                        .filter(|&s| !pool.contains(s))
-                        .take(k)
-                        .collect();
-                    policy.rank_top_k_retrieved_into(
-                        pool.members(),
-                        &rest_slots,
-                        k,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut retrieved,
-                    );
-                    assert_eq!(retrieved, pooled, "retrieved≡pooled, k={k}, seed={seed}");
-                    assert_eq!(buffers.take_pool_draws(), draws, "retrieved draw count");
+                    for source in [
+                        RankSource::merged(pool.members(), pool.mask(), &sorted),
+                        RankSource::retrieved(pool.members(), &rest_slots),
+                    ] {
+                        policy.rank_into(
+                            source,
+                            Some(k),
+                            &mut new_rng(seed),
+                            &mut buffers,
+                            &mut other,
+                        );
+                        assert_eq!(other, pooled, "k={k}, seed={seed}");
+                        assert_eq!(buffers.take_pool_draws(), draws, "draw count");
+                    }
                     // The prefix is made of distinct slots and protects
                     // the deterministic top start_rank − 1.
                     let mut dedup = pooled.clone();
@@ -1237,42 +690,28 @@ mod tests {
 
     #[test]
     fn v2_leaves_the_uniform_rule_and_full_reranks_bit_identical() {
-        use crate::lazyshuffle::EngineVersion;
-
         let ps = pages();
-        let mut sorted: Vec<usize> = (0..ps.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
+        let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
-        let view = PoolView::new(&ps, &sorted, &pool);
+        let source = RankSource::pooled(&ps, &sorted, &pool);
         let mut buffers = RankBuffers::new();
         let (mut v1_out, mut v2_out) = (Vec::new(), Vec::new());
         for rule in [PromotionRule::Selective, PromotionRule::Uniform] {
             let v1 = RandomizedRankPromotion::new(PromotionConfig::new(rule, 2, 0.4).unwrap());
             let v2 = v1.with_version(EngineVersion::V2);
             for seed in 0..20 {
-                // Full reranks never take the lazy route under either rule.
-                v1.rank_pooled_into(view, &mut new_rng(seed), &mut buffers, &mut v1_out);
-                v2.rank_pooled_into(view, &mut new_rng(seed), &mut buffers, &mut v2_out);
-                assert_eq!(v2_out, v1_out, "full {rule:?}, seed={seed}");
-                if rule == PromotionRule::Uniform {
-                    // Uniform top-k is v1-identical too: per-page coins
-                    // dominate, so there is no lazy stream for it.
-                    v1.rank_top_k_pooled_into(
-                        view,
-                        5,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut v1_out,
-                    );
-                    v2.rank_top_k_pooled_into(
-                        view,
-                        5,
-                        &mut new_rng(seed),
-                        &mut buffers,
-                        &mut v2_out,
-                    );
-                    assert_eq!(v2_out, v1_out, "uniform top-k, seed={seed}");
-                    assert_eq!(buffers.take_pool_draws(), 0, "no lazy draws for Uniform");
+                // Full reranks never take the lazy route under either
+                // rule; Uniform top-k is v1-identical too (per-page coins
+                // dominate, so there is no lazy stream for it).
+                let limits: &[Option<usize>] = match rule {
+                    PromotionRule::Selective => &[None],
+                    PromotionRule::Uniform => &[None, Some(5)],
+                };
+                for &limit in limits {
+                    v1.rank_into(source, limit, &mut new_rng(seed), &mut buffers, &mut v1_out);
+                    v2.rank_into(source, limit, &mut new_rng(seed), &mut buffers, &mut v2_out);
+                    assert_eq!(v2_out, v1_out, "{rule:?}, {limit:?}, seed={seed}");
+                    assert_eq!(buffers.take_pool_draws(), 0, "no lazy draws");
                 }
             }
         }

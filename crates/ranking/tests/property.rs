@@ -7,10 +7,43 @@
 use proptest::prelude::*;
 use rrp_model::{new_rng, PageId};
 use rrp_ranking::{
-    is_permutation, merge_promoted, popularity_order, FullyRandomRanking, PageStats, PolicyKind,
-    PoolIndex, PoolView, PopularityRanking, PromotionConfig, PromotionRule, QualityOracleRanking,
-    RandomizedRankPromotion, RankBuffers, RankingPolicy,
+    is_permutation, merge_promoted, merge_shard_candidates_into, popularity_order, EngineVersion,
+    FullyRandomRanking, MergedCandidates, PageStats, PolicyKind, PoolIndex, PopularityIndex,
+    PopularityRanking, PromotionConfig, PromotionRule, QualityOracleRanking,
+    RandomizedRankPromotion, RankBuffers, RankSource, RankingPolicy, ShardCandidates,
 };
+
+/// Partition `pages` into `shards` shard-local corpora (dense local slots)
+/// under an arbitrary but slot-order-preserving routing, collect each
+/// shard's top-`limit` candidates off its own indexes, and merge them.
+fn shard_candidates(
+    pages: &[PageStats],
+    shards: usize,
+    route_salt: usize,
+    limit: usize,
+) -> MergedCandidates {
+    let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
+    let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    for p in pages {
+        let shard = (p.slot * 31 + route_salt) % shards;
+        let mut local = *p;
+        local.slot = locals[shard].len();
+        locals[shard].push(local);
+        globals[shard].push(p.slot);
+    }
+    let candidates: Vec<ShardCandidates> = (0..shards)
+        .map(|s| {
+            let order = PopularityIndex::build(&locals[s]);
+            let pool = PoolIndex::build(&locals[s]);
+            let mut c = ShardCandidates::new();
+            c.collect(&locals[s], order.order(), &pool, limit, &globals[s]);
+            c
+        })
+        .collect();
+    let mut merged = MergedCandidates::new();
+    merge_shard_candidates_into(&candidates, limit, &mut merged);
+    merged
+}
 
 /// Strategy producing an arbitrary page population of size 1..=120.
 fn arb_pages() -> impl Strategy<Value = Vec<PageStats>> {
@@ -209,35 +242,6 @@ proptest! {
         }
     }
 
-    /// The presorted promotion path (used by the simulator's incremental
-    /// popularity index and the batch serving layer) is byte-identical to
-    /// the sorting path for any configuration, given a correct popularity
-    /// order of the input.
-    #[test]
-    fn rank_presorted_matches_rank(
-        pages in arb_pages(),
-        seed in proptest::num::u64::ANY,
-        rule in prop_oneof![Just(PromotionRule::Uniform), Just(PromotionRule::Selective)],
-        k in 1usize..50,
-        degree in 0.0f64..=1.0,
-    ) {
-        let config = PromotionConfig::new(rule, k, degree).unwrap();
-        let policy = RandomizedRankPromotion::new(config);
-        let mut sorted: Vec<usize> = (0..pages.len()).collect();
-        sorted.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
-
-        let legacy = policy.rank(&pages, &mut new_rng(seed));
-        let mut buffers = RankBuffers::new();
-        let mut out = Vec::new();
-        policy.rank_presorted_into(&pages, &sorted, &mut new_rng(seed), &mut buffers, &mut out);
-        prop_assert_eq!(&out, &legacy);
-
-        // And through the enum dispatch used by the simulator.
-        let kind = PolicyKind::promotion(config);
-        kind.rank_presorted_into(&pages, &sorted, &mut new_rng(seed), &mut buffers, &mut out);
-        prop_assert_eq!(&out, &legacy);
-    }
-
     /// The persistent pool index under arbitrary dirty sequences — visits
     /// flipping awareness on, retirements flipping it back off, inserts
     /// growing the population past its initial capacity, redundant dirty
@@ -298,127 +302,144 @@ proptest! {
         prop_assert_eq!(index.len(), rebuilt.len());
     }
 
-    /// The pooled ranking paths are byte-identical to the scanning paths
-    /// for any configuration and any population: same pool order before
-    /// the shuffle, same RNG draws, same output — full and top-k alike.
+    /// Callers holding only `pages` and a popularity order build the pool
+    /// with `PoolIndex::build` and rank a pooled source. For arbitrary
+    /// pages, both rules, both engine versions and `limit ∈ {None, 0, 1,
+    /// start_rank, n, n + 5}`, every answer off the v1 stream equals the
+    /// prefix of the reference `RankingPolicy::rank_into` on the same
+    /// seed. Only a v2 Selective top-k draws its own (lazy) stream. The
+    /// other adaptors equal this one by `pooled_paths_match_scanning_paths`.
+    #[test]
+    fn rank_presorted_matches_rank(
+        pages in arb_pages(),
+        seed in proptest::num::u64::ANY,
+        rule in prop_oneof![Just(PromotionRule::Uniform), Just(PromotionRule::Selective)],
+        version in prop_oneof![Just(EngineVersion::V1), Just(EngineVersion::V2)],
+        start_rank in 1usize..50,
+        degree in 0.0f64..=1.0,
+        limit_case in 0usize..6,
+    ) {
+        let n = pages.len();
+        let limit = [None, Some(0), Some(1), Some(start_rank), Some(n), Some(n + 5)][limit_case];
+        let config = PromotionConfig::new(rule, start_rank, degree).unwrap();
+        let policy = RandomizedRankPromotion::new(config).with_version(version);
+        prop_assume!(!(version == EngineVersion::V2 && rule == PromotionRule::Selective && limit.is_some()));
+        let mut sorted: Vec<usize> = (0..n).collect();
+        sorted.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
+        let pool = PoolIndex::build(&pages);
+
+        let mut pooled = Vec::new();
+        policy.rank_into(
+            RankSource::pooled(&pages, &sorted, &pool),
+            limit,
+            &mut new_rng(seed),
+            &mut RankBuffers::new(),
+            &mut pooled,
+        );
+        let reference = policy.rank(&pages, &mut new_rng(seed));
+        let len = limit.unwrap_or(n).min(n);
+        prop_assert_eq!(&pooled, &reference[..len].to_vec(), "v1 ≡ reference prefix");
+    }
+
+    /// Every [`RankSource`] adaptor ranks identically. For arbitrary pages,
+    /// both rules, both engine versions and `limit ∈ {None, 0, 1,
+    /// start_rank, n, n + 5}`: the pooled, merged and (Selective only)
+    /// shard-retrieved sources give the same answer — the retrieved one
+    /// built from `k` candidates per shard, which pins that `k` suffice —
+    /// and the `PolicyKind` dispatch equals the policy. That the pooled
+    /// answer is the reference one is `rank_presorted_matches_rank`.
     #[test]
     fn pooled_paths_match_scanning_paths(
         pages in arb_pages(),
         seed in proptest::num::u64::ANY,
         rule in prop_oneof![Just(PromotionRule::Uniform), Just(PromotionRule::Selective)],
+        version in prop_oneof![Just(EngineVersion::V1), Just(EngineVersion::V2)],
         start_rank in 1usize..50,
         degree in 0.0f64..=1.0,
-        k in 0usize..140,
+        limit_case in 0usize..6,
+        shards in 1usize..9,
+        route_salt in 0usize..1000,
     ) {
+        let n = pages.len();
+        let limit = [None, Some(0), Some(1), Some(start_rank), Some(n), Some(n + 5)][limit_case];
         let config = PromotionConfig::new(rule, start_rank, degree).unwrap();
-        let policy = RandomizedRankPromotion::new(config);
-        let mut sorted: Vec<usize> = (0..pages.len()).collect();
+        let policy = RandomizedRankPromotion::new(config).with_version(version);
+        let mut sorted: Vec<usize> = (0..n).collect();
         sorted.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
         let pool = PoolIndex::build(&pages);
-        let view = PoolView::new(&pages, &sorted, &pool);
+        let mask: Vec<bool> = (0..n).map(|s| pool.contains(s)).collect();
 
         let mut buffers = RankBuffers::new();
-        let (mut scan, mut pooled) = (Vec::new(), Vec::new());
-        policy.rank_presorted_into(&pages, &sorted, &mut new_rng(seed), &mut buffers, &mut scan);
-        policy.rank_pooled_into(view, &mut new_rng(seed), &mut buffers, &mut pooled);
-        prop_assert_eq!(&pooled, &scan);
-
-        policy.rank_top_k_pooled_into(view, k, &mut new_rng(seed), &mut buffers, &mut pooled);
-        prop_assert_eq!(&pooled, &scan[..k.min(scan.len())].to_vec());
+        let (mut pooled, mut other) = (Vec::new(), Vec::new());
+        policy.rank_into(
+            RankSource::pooled(&pages, &sorted, &pool),
+            limit,
+            &mut new_rng(seed),
+            &mut buffers,
+            &mut pooled,
+        );
+        policy.rank_into(
+            RankSource::merged(pool.members(), &mask, &sorted),
+            limit,
+            &mut new_rng(seed),
+            &mut buffers,
+            &mut other,
+        );
+        prop_assert_eq!(&other, &pooled, "merged ≡ pooled");
 
         // And through the enum dispatch used by the simulator.
-        let kind = PolicyKind::promotion(config);
-        kind.rank_top_k_pooled_into(view, k, &mut new_rng(seed), &mut buffers, &mut pooled);
-        prop_assert_eq!(&pooled, &scan[..k.min(scan.len())].to_vec());
+        PolicyKind::Promotion(policy).rank_into(
+            RankSource::pooled(&pages, &sorted, &pool),
+            limit,
+            &mut new_rng(seed),
+            &mut buffers,
+            &mut other,
+        );
+        prop_assert_eq!(&other, &pooled, "PolicyKind ≡ RandomizedRankPromotion");
+
+        if rule == PromotionRule::Selective {
+            let merged = shard_candidates(&pages, shards, route_salt, limit.unwrap_or(n));
+            let rest: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
+            policy.rank_into(
+                RankSource::retrieved(merged.pool(), &rest),
+                limit,
+                &mut new_rng(seed),
+                &mut buffers,
+                &mut other,
+            );
+            prop_assert_eq!(&other, &pooled, "retrieved ≡ pooled");
+        }
     }
 
     /// Shard-candidate retrieval is invisible: partitioning an arbitrary
     /// population into an arbitrary number of shards, collecting each
-    /// shard's candidates off shard-local indexes and running the
+    /// shard's top-`k` candidates off shard-local indexes and running the
     /// deterministic k-way merge reproduces (a) the corpus-wide pool in
-    /// its exact pre-shuffle order, (b) the corpus-wide non-pool order
-    /// prefix, and (c) a top-k ranking byte-identical to the scanning
-    /// path's prefix — for selective promotion and plain popularity
-    /// ranking alike. A single mis-merged, stale, or re-ordered candidate
-    /// would silently shift the RNG stream, so equality is exact.
+    /// its exact pre-shuffle order and (b) the corpus-wide non-pool order
+    /// prefix. A single mis-merged, stale, or re-ordered candidate would
+    /// silently shift the RNG stream, so equality is exact; the ranking
+    /// half is pinned by `pooled_paths_match_scanning_paths`.
     #[test]
     fn shard_candidate_merge_matches_the_corpus_wide_derivation(
         pages in arb_pages(),
-        seed in proptest::num::u64::ANY,
         shards in 1usize..9,
-        start_rank in 1usize..50,
-        degree in 0.0f64..=1.0,
         k in 0usize..140,
         route_salt in 0usize..1000,
     ) {
-        use rrp_ranking::{merge_shard_candidates_into, MergedCandidates, PopularityIndex, ShardCandidates};
-
-        let config = PromotionConfig::new(PromotionRule::Selective, start_rank, degree).unwrap();
-        let policy = RandomizedRankPromotion::new(config);
         let mut sorted: Vec<usize> = (0..pages.len()).collect();
         sorted.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
         let pool = PoolIndex::build(&pages);
+        let merged = shard_candidates(&pages, shards, route_salt, k);
 
-        // Partition into shard-local corpora with dense local slots under
-        // an arbitrary (but slot-order-preserving) routing.
-        let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
-        let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for p in &pages {
-            let shard = (p.slot * 31 + route_salt) % shards;
-            let mut local = *p;
-            local.slot = locals[shard].len();
-            locals[shard].push(local);
-            globals[shard].push(p.slot);
-        }
-        let limit = config.candidate_prefix_len(k);
-        let candidates: Vec<ShardCandidates> = (0..shards)
-            .map(|s| {
-                let order = PopularityIndex::build(&locals[s]);
-                let shard_pool = PoolIndex::build(&locals[s]);
-                let mut c = ShardCandidates::new();
-                c.collect(PoolView::new(&locals[s], order.order(), &shard_pool), limit, &globals[s]);
-                c
-            })
-            .collect();
-        let mut merged = MergedCandidates::new();
-        merge_shard_candidates_into(&candidates, limit, &mut merged);
-
-        // (a) + (b): the merged view equals the corpus-wide derivation.
         prop_assert_eq!(&merged.pool().to_vec(), &pool.members().to_vec());
         let merged_rest: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
         let expected_rest: Vec<usize> = sorted
             .iter()
             .copied()
             .filter(|&s| !pool.contains(s))
-            .take(limit)
+            .take(k)
             .collect();
         prop_assert_eq!(&merged_rest, &expected_rest);
-
-        // (c): ranking from the merged view is the scanning prefix —
-        // through the self-contained candidate form and through the
-        // maintained-pool primitive the serving tier uses (pool merged at
-        // repair time, rest retrieved per query).
-        let mut buffers = RankBuffers::new();
-        let (mut scan, mut from_merge) = (Vec::new(), Vec::new());
-        policy.rank_presorted_into(&pages, &sorted, &mut new_rng(seed), &mut buffers, &mut scan);
-        policy.rank_top_k_candidates_into(&merged, k, &mut new_rng(seed), &mut buffers, &mut from_merge);
-        prop_assert_eq!(&from_merge, &scan[..k.min(scan.len())].to_vec());
-
-        policy.rank_top_k_retrieved_into(
-            pool.members(),
-            &merged_rest,
-            k,
-            &mut new_rng(seed),
-            &mut buffers,
-            &mut from_merge,
-        );
-        prop_assert_eq!(&from_merge, &scan[..k.min(scan.len())].to_vec());
-
-        // And through the enum dispatch used by policy-generic callers.
-        let kind = PolicyKind::promotion(config);
-        prop_assert!(kind.supports_candidate_retrieval());
-        kind.rank_top_k_candidates_into(&merged, k, &mut new_rng(seed), &mut buffers, &mut from_merge);
-        prop_assert_eq!(&from_merge, &scan[..k.min(scan.len())].to_vec());
     }
 
     /// For *any* valid promotion configuration, ranks better than `k` are

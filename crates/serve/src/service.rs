@@ -2,7 +2,9 @@
 
 use crate::store::ShardedStore;
 use rrp_core::{Document, PublishedVersion, QueryContext, RankPromotionEngine, ShardedCorpusCache};
-use rrp_ranking::{merge_shard_candidates_into, MergedCandidates, RankBuffers, ShardCandidates};
+use rrp_ranking::{
+    merge_shard_candidates_into, MergedCandidates, RankBuffers, RankSource, ShardCandidates,
+};
 use std::marker::PhantomData;
 use std::ops::{Deref, Range};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -605,7 +607,7 @@ impl ShardedPromotionService {
     /// raced the query.
     pub fn rerank_one_versioned(&self, context: QueryContext) -> (u64, Vec<u64>) {
         let mut out = Vec::new();
-        let epoch = self.one_versioned_into(context, &mut out);
+        let epoch = self.sequential_into(context, None, &mut out);
         (epoch, out)
     }
 
@@ -613,11 +615,26 @@ impl ShardedPromotionService {
     /// `out` (cleared first): allocation-free once the serving state and
     /// `out` have grown to the corpus size.
     pub fn rerank_one_into(&self, context: QueryContext, out: &mut Vec<u64>) {
-        self.one_versioned_into(context, out);
+        self.sequential_into(context, None, out);
     }
 
-    fn one_versioned_into(&self, context: QueryContext, out: &mut Vec<u64>) -> u64 {
+    /// The sequential read path behind `rerank_one*` (`k = None`) and
+    /// `rerank_top_k*` (`k = Some(_)`): answer against the current
+    /// version, validate its epoch at merge time, and on a conflict retry
+    /// once against the fresh version (then accept — the writer may
+    /// always be one step ahead). Returns the answering version's epoch.
+    fn sequential_into(&self, context: QueryContext, k: Option<usize>, out: &mut Vec<u64>) -> u64 {
         ProbeCells::add(&self.probe.queries, 1);
+        if k == Some(0) {
+            // A zero-rank query is answerable from nothing: charge no
+            // probes and publish no version, whatever the backlog.
+            out.clear();
+            return self
+                .published
+                .read()
+                .expect("published version lock")
+                .epoch();
+        }
         let mut version = self.current_version();
         if version.is_empty() {
             // Degenerate path: answer without touching (or charging) the
@@ -628,22 +645,8 @@ impl ShardedPromotionService {
         let mut scratch = self.take_scratch();
         let mut retried = false;
         let epoch = loop {
-            let (order, ran) = version.ensure_merged_order();
-            if ran {
-                ProbeCells::add(&self.probe.order_merges, 1);
-            }
-            self.engine.rerank_merged_into(
-                version.pool_slots(),
-                order,
-                |s| version.in_pool(s),
-                context,
-                &mut scratch.buffers,
-                &mut scratch.slots,
-            );
-            // Validate at merge time: a racing mutation leaves the answer
-            // consistent at the version's epoch, merely stale — retry
-            // once against the fresh version, then accept (the writer may
-            // always be one step ahead).
+            let route = self.route(&version, k, 1);
+            scratch.answer_into(&self.engine, &version, context, route, out);
             if retried || self.epoch.load(Ordering::Acquire) == version.epoch() {
                 break version.epoch();
             }
@@ -653,8 +656,6 @@ impl ShardedPromotionService {
         };
         ProbeCells::add(&self.probe.mask_resets, scratch.buffers.take_mask_resets());
         ProbeCells::add(&self.probe.pool_draws, scratch.buffers.take_pool_draws());
-        out.clear();
-        out.extend(scratch.slots.iter().map(|&s| version.page_of(s).0));
         self.put_scratch(scratch);
         epoch
     }
@@ -680,77 +681,14 @@ impl ShardedPromotionService {
     /// epoch (the currently published epoch when `k = 0`).
     pub fn rerank_top_k_versioned(&self, context: QueryContext, k: usize) -> (u64, Vec<u64>) {
         let mut out = Vec::new();
-        let epoch = self.top_k_versioned_into(context, k, &mut out);
+        let epoch = self.sequential_into(context, Some(k), &mut out);
         (epoch, out)
     }
 
     /// [`rerank_top_k`](Self::rerank_top_k) writing into `out` (cleared
     /// first); allocation-free after warm-up.
     pub fn rerank_top_k_into(&self, context: QueryContext, k: usize, out: &mut Vec<u64>) {
-        self.top_k_versioned_into(context, k, out);
-    }
-
-    fn top_k_versioned_into(&self, context: QueryContext, k: usize, out: &mut Vec<u64>) -> u64 {
-        ProbeCells::add(&self.probe.queries, 1);
-        if k == 0 {
-            // A zero-rank query is answerable from nothing: charge no
-            // probes and publish no version, whatever the backlog.
-            out.clear();
-            return self
-                .published
-                .read()
-                .expect("published version lock")
-                .epoch();
-        }
-        let mut version = self.current_version();
-        if version.is_empty() {
-            // Degenerate path: an empty corpus must not book retrievals
-            // (or merges) that never happen.
-            out.clear();
-            return version.epoch();
-        }
-        let mut scratch = self.take_scratch();
-        let mut retried = false;
-        let epoch = loop {
-            if self.engine.reads_pool_index() {
-                ProbeCells::add(&self.probe.shard_retrievals, version.shard_count() as u64);
-                scratch.retrieval.answer_into(
-                    &self.engine,
-                    &version,
-                    context,
-                    k,
-                    &mut scratch.buffers,
-                    &mut scratch.slots,
-                    out,
-                );
-            } else {
-                let (order, ran) = version.ensure_merged_order();
-                if ran {
-                    ProbeCells::add(&self.probe.order_merges, 1);
-                }
-                self.engine.rerank_top_k_merged_into(
-                    version.pool_slots(),
-                    order,
-                    |s| version.in_pool(s),
-                    k,
-                    context,
-                    &mut scratch.buffers,
-                    &mut scratch.slots,
-                );
-                out.clear();
-                out.extend(scratch.slots.iter().map(|&s| version.page_of(s).0));
-            }
-            if retried || self.epoch.load(Ordering::Acquire) == version.epoch() {
-                break version.epoch();
-            }
-            ProbeCells::add(&self.probe.epoch_conflicts, 1);
-            retried = true;
-            version = self.current_version();
-        };
-        ProbeCells::add(&self.probe.mask_resets, scratch.buffers.take_mask_resets());
-        ProbeCells::add(&self.probe.pool_draws, scratch.buffers.take_pool_draws());
-        self.put_scratch(scratch);
-        epoch
+        self.sequential_into(context, Some(k), out);
     }
 
     /// Answer a batch of queries, fanning out across scoped worker
@@ -843,50 +781,18 @@ impl ShardedPromotionService {
             return version.epoch();
         }
 
-        // Pick the batch's path: top-k under a selective engine retrieves
-        // per shard; everything else (full reranks, the Uniform rule's
-        // coin scan) consumes the complete merged order, brought current
-        // once for the batch.
-        let mode = match k {
-            Some(k) if self.engine.reads_pool_index() => {
-                ProbeCells::add(
-                    &self.probe.shard_retrievals,
-                    (version.shard_count() * queries.len()) as u64,
-                );
-                BatchMode::TopKShards(k)
-            }
-            Some(k) => {
-                let (_, ran) = version.ensure_merged_order();
-                if ran {
-                    ProbeCells::add(&self.probe.order_merges, 1);
-                }
-                BatchMode::TopKMerged(k)
-            }
-            None => {
-                let (_, ran) = version.ensure_merged_order();
-                if ran {
-                    ProbeCells::add(&self.probe.order_merges, 1);
-                }
-                BatchMode::Full
-            }
-        };
+        let route = self.route(&version, k, queries.len());
 
         let engine = &self.engine;
         let workers = self.workers.min(queries.len());
         if workers <= 1 {
-            let mut worker = BatchWorker::new(engine, &version, self.take_scratch());
+            let mut scratch = self.take_scratch();
             for (&ctx, out) in queries.iter().zip(results.iter_mut()) {
-                worker.answer_into(ctx, mode, out);
+                scratch.answer_into(engine, &version, ctx, route, out);
             }
-            ProbeCells::add(
-                &self.probe.mask_resets,
-                worker.scratch.buffers.take_mask_resets(),
-            );
-            ProbeCells::add(
-                &self.probe.pool_draws,
-                worker.scratch.buffers.take_pool_draws(),
-            );
-            self.put_scratch(worker.scratch);
+            ProbeCells::add(&self.probe.mask_resets, scratch.buffers.take_mask_resets());
+            ProbeCells::add(&self.probe.pool_draws, scratch.buffers.take_pool_draws());
+            self.put_scratch(scratch);
         } else {
             // Contention-free fan-out: the result slots are pre-split into
             // disjoint `&mut` regions that workers claim chunk-by-chunk
@@ -908,19 +814,16 @@ impl ShardedPromotionService {
                         // Each worker borrows a private scratch set from
                         // the pool: queries are allocation-free once the
                         // pool has warmed up to the worker fan-out.
-                        let mut worker = BatchWorker::new(engine, version, self.take_scratch());
+                        let mut scratch = self.take_scratch();
                         while let Some((range, slots)) = regions.claim() {
                             for (&ctx, out) in queries[range].iter().zip(slots.iter_mut()) {
-                                worker.answer_into(ctx, mode, out);
+                                scratch.answer_into(engine, version, ctx, route, out);
                             }
                         }
-                        mask_resets.fetch_add(
-                            worker.scratch.buffers.take_mask_resets(),
-                            Ordering::Relaxed,
-                        );
-                        pool_draws
-                            .fetch_add(worker.scratch.buffers.take_pool_draws(), Ordering::Relaxed);
-                        self.put_scratch(worker.scratch);
+                        mask_resets
+                            .fetch_add(scratch.buffers.take_mask_resets(), Ordering::Relaxed);
+                        pool_draws.fetch_add(scratch.buffers.take_pool_draws(), Ordering::Relaxed);
+                        self.put_scratch(scratch);
                     });
                 }
             });
@@ -936,20 +839,42 @@ impl ShardedPromotionService {
         }
         version.epoch()
     }
+
+    /// Pick how `queries` queries against `version` are answered and
+    /// charge the route's probes: top-k under a selective engine
+    /// retrieves per shard; everything else (full reranks, the Uniform
+    /// rule's coin scan) consumes the complete merged order, brought
+    /// current once.
+    fn route(&self, version: &PublishedVersion, k: Option<usize>, queries: usize) -> Route {
+        match k {
+            Some(k) if self.engine.reads_pool_index() => {
+                ProbeCells::add(
+                    &self.probe.shard_retrievals,
+                    (version.shard_count() * queries) as u64,
+                );
+                Route::Shards(k)
+            }
+            _ => {
+                let (_, ran) = version.ensure_merged_order();
+                if ran {
+                    ProbeCells::add(&self.probe.order_merges, 1);
+                }
+                Route::Merged(k)
+            }
+        }
+    }
 }
 
-/// How a batch's queries are answered (decided once per batch).
+/// Which [`RankSource`] a query ranks (decided once per batch, or per
+/// attempt of a sequential query).
 #[derive(Clone, Copy)]
-enum BatchMode {
-    /// Full rerank off the complete merged order (all `n` ranks
-    /// materialised per query).
-    Full,
-    /// Top-k off the complete merged order (the Uniform rule's per-page
-    /// coin scan needs every slot).
-    TopKMerged(usize),
+enum Route {
+    /// The complete merged order (all ranks for `None`, else the top
+    /// `k`): full reranks, and the Uniform rule's per-page coin scan.
+    Merged(Option<usize>),
     /// Top-k via per-shard candidate retrieval and the deterministic
     /// merge — no complete order touched.
-    TopKShards(usize),
+    Shards(usize),
 }
 
 /// Chunk width for the batch fan-out: a handful of chunks per worker
@@ -1011,11 +936,10 @@ impl<'a> SlotRegions<'a> {
     }
 }
 
-/// Reusable scratch for one top-k query's retrieve→merge→rank round trip:
-/// the per-shard rest candidates, the merged view, and the slot list the
-/// merged rest flattens into. Owned per caller (a pooled sequential
-/// scratch set, or one per batch worker), so steady-state top-k queries
-/// allocate nothing.
+/// Reusable scratch for one top-k query's retrieval: the per-shard rest
+/// candidates, the merged view, and the slot list the merged rest
+/// flattens into. Owned per caller (a pooled scratch set), so steady-state
+/// top-k queries allocate nothing.
 #[derive(Debug, Default)]
 struct TopKRetrieval {
     shards: Vec<ShardCandidates>,
@@ -1024,109 +948,47 @@ struct TopKRetrieval {
 }
 
 impl TopKRetrieval {
-    /// Answer one top-`k` query from a published version's shard caches
-    /// alone: retrieve each shard's rest prefix (`O(k)` per shard), merge
-    /// them deterministically, and rank against that prefix plus the
-    /// version's merged pool — the complete order is never read, and the
-    /// ranked global slots resolve to document ids through the version's
-    /// page table. Output is bit-identical to the length-`k` prefix of
-    /// the full rerank.
-    #[allow(clippy::too_many_arguments)]
+    /// Retrieve a top-`k` query's inputs from a published version's shard
+    /// caches alone: each shard's rest prefix (`O(k)` per shard), merged
+    /// deterministically, beside the version's merged pool — the complete
+    /// order is never read. `k` rest candidates suffice because each of
+    /// the top `k` ranks consumes at most one of them.
+    fn retrieve<'a>(&'a mut self, version: &'a PublishedVersion, k: usize) -> RankSource<'a> {
+        version.collect_rest_candidates(k, &mut self.shards);
+        merge_shard_candidates_into(&self.shards, k, &mut self.merged);
+        self.rest_slots.clear();
+        self.rest_slots
+            .extend(self.merged.rest().iter().map(|p| p.slot));
+        RankSource::retrieved(version.pool_slots(), &self.rest_slots)
+    }
+}
+
+impl QueryScratch {
+    /// Answer one query against `version` along `route` into `out`
+    /// (cleared first): build the route's [`RankSource`], rank it, and
+    /// resolve the ranked global slots to document ids through the
+    /// version's page table. Reuses the scratch arenas and `out`'s
+    /// storage — no allocation once both have warmed up.
     fn answer_into(
         &mut self,
         engine: &RankPromotionEngine,
         version: &PublishedVersion,
         context: QueryContext,
-        k: usize,
-        buffers: &mut RankBuffers,
-        slots: &mut Vec<usize>,
+        route: Route,
         out: &mut Vec<u64>,
     ) {
-        let limit = engine.config().candidate_prefix_len(k);
-        version.collect_rest_candidates(limit, &mut self.shards);
-        merge_shard_candidates_into(&self.shards, limit, &mut self.merged);
-        self.rest_slots.clear();
-        self.rest_slots
-            .extend(self.merged.rest().iter().map(|p| p.slot));
-        engine.rerank_top_k_retrieved_into(
-            version.pool_slots(),
-            &self.rest_slots,
-            k,
-            context,
+        let QueryScratch {
             buffers,
             slots,
-        );
+            retrieval,
+        } = self;
+        let (source, limit) = match route {
+            Route::Merged(limit) => (version.merged_source(), limit),
+            Route::Shards(k) => (retrieval.retrieve(version, k), Some(k)),
+        };
+        engine.rank_into(source, limit, context, buffers, slots);
         out.clear();
         out.extend(slots.iter().map(|&s| version.page_of(s).0));
-    }
-}
-
-/// Per-worker state: a shared read-only published version plus private
-/// scratch.
-struct BatchWorker<'a> {
-    engine: &'a RankPromotionEngine,
-    version: &'a PublishedVersion,
-    scratch: QueryScratch,
-}
-
-impl<'a> BatchWorker<'a> {
-    /// Wrap a pooled scratch set: the arenas were grown by earlier
-    /// queries and go back to the pool after the batch, so steady-state
-    /// batches allocate nothing per batch (not even the first query's
-    /// arena growth — that warm-up happened once per service).
-    fn new(
-        engine: &'a RankPromotionEngine,
-        version: &'a PublishedVersion,
-        scratch: QueryScratch,
-    ) -> Self {
-        BatchWorker {
-            engine,
-            version,
-            scratch,
-        }
-    }
-
-    /// Answer one query into `out` (cleared first) according to the
-    /// batch's mode. Reuses the worker's arenas and `out`'s storage — no
-    /// allocation once both have warmed up.
-    fn answer_into(&mut self, context: QueryContext, mode: BatchMode, out: &mut Vec<u64>) {
-        match mode {
-            BatchMode::Full => self.engine.rerank_merged_into(
-                self.version.pool_slots(),
-                self.version.merged_order(),
-                |s| self.version.in_pool(s),
-                context,
-                &mut self.scratch.buffers,
-                &mut self.scratch.slots,
-            ),
-            BatchMode::TopKMerged(k) => self.engine.rerank_top_k_merged_into(
-                self.version.pool_slots(),
-                self.version.merged_order(),
-                |s| self.version.in_pool(s),
-                k,
-                context,
-                &mut self.scratch.buffers,
-                &mut self.scratch.slots,
-            ),
-            BatchMode::TopKShards(k) => {
-                return self.scratch.retrieval.answer_into(
-                    self.engine,
-                    self.version,
-                    context,
-                    k,
-                    &mut self.scratch.buffers,
-                    &mut self.scratch.slots,
-                    out,
-                );
-            }
-        }
-        out.clear();
-        out.extend(
-            self.scratch
-                .slots
-                .iter()
-                .map(|&s| self.version.page_of(s).0),
-        );
     }
 }
 

@@ -27,7 +27,7 @@ use crate::metrics::{QpcAccumulator, SimMetrics};
 use rand::Rng;
 use rrp_attention::RankBias;
 use rrp_model::{new_rng, Day, ModelResult, Quality, Rng64, SimClock};
-use rrp_ranking::{PageStats, PolicyKind, PoolIndex, PoolView, PopularityIndex, RankBuffers};
+use rrp_ranking::{PageStats, PolicyKind, PoolIndex, PopularityIndex, RankBuffers, RankSource};
 
 /// The simulator.
 pub struct Simulation {
@@ -273,8 +273,9 @@ impl Simulation {
             self.pool_index.repair(&self.stats, &self.dirty_slots);
         }
         self.pop_index.repair(&self.stats, &mut self.dirty_slots);
-        self.policy.rank_pooled_into(
-            PoolView::new(&self.stats, self.pop_index.order(), &self.pool_index),
+        self.policy.rank_into(
+            RankSource::pooled(&self.stats, self.pop_index.order(), &self.pool_index),
+            None,
             &mut self.rng,
             &mut self.buffers,
             &mut self.ranking,

@@ -280,6 +280,7 @@ pub struct WalReader<R> {
     valid_len: u64,
     /// The sequence the next record must carry (unknown until the first).
     expect_seq: Option<u64>,
+    payload: Vec<u8>,
     tail: TailStatus,
     done: bool,
 }
@@ -327,6 +328,7 @@ impl<R: Read> WalReader<R> {
             src,
             valid_len: WAL_HEADER_LEN,
             expect_seq: None,
+            payload: Vec::new(),
             tail: TailStatus::Clean,
             done: false,
         })
@@ -339,46 +341,27 @@ impl<R: Read> WalReader<R> {
         if self.done {
             return Ok(None);
         }
-        let mut prefix = [0u8; FRAME_PREFIX];
-        let got = read_up_to(&mut self.src, &mut prefix)?;
-        if got == 0 {
-            self.done = true;
-            return Ok(None);
-        }
-        if got < FRAME_PREFIX {
-            return self.finish_torn(got as u64);
-        }
-        let payload_len = u32::from_le_bytes(prefix[0..4].try_into().expect("4 bytes"));
-        let stored_crc = u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes"));
-        let seq = u64::from_le_bytes(prefix[8..16].try_into().expect("8 bytes"));
-        if payload_len > MAX_PAYLOAD {
+        match read_frame(&mut self.src, self.expect_seq, &mut self.payload)? {
+            Frame::Short { read: 0 } => {
+                self.done = true;
+                Ok(None)
+            }
+            Frame::Short { read } => self.finish_torn(read),
             // The claimed length is garbage, so this frame's true extent
             // is unknowable and only its 16 prefix bytes were consumed —
             // the loss-counting walk would start inside the unread
             // payload and reinterpret its bytes as frame prefixes. Drop
             // the rest uncounted instead.
-            return self.finish_corrupt_unframed(FRAME_PREFIX as u64, "absurd payload length");
-        }
-        let mut payload = vec![0u8; payload_len as usize];
-        let got = read_up_to(&mut self.src, &mut payload)?;
-        if got < payload.len() {
-            return self.finish_torn((FRAME_PREFIX + got) as u64);
-        }
-        let frame_len = (FRAME_PREFIX as u64) + payload_len as u64;
-        if crc32_concat(&[&prefix[8..16], &payload]) != stored_crc {
-            return self.finish_corrupt(frame_len, "checksum mismatch");
-        }
-        if let Some(expected) = self.expect_seq {
-            if seq != expected {
-                return self.finish_corrupt(frame_len, "sequence discontinuity");
+            Frame::AbsurdLength => {
+                self.finish_corrupt_unframed(FRAME_PREFIX as u64, "absurd payload length")
+            }
+            Frame::Bad { len, detail } => self.finish_corrupt(len, detail),
+            Frame::Event { seq, event, len } => {
+                self.valid_len += len;
+                self.expect_seq = Some(seq + 1);
+                Ok(Some((seq, event)))
             }
         }
-        let Some(event) = WalEvent::decode(&payload) else {
-            return self.finish_corrupt(frame_len, "undecodable event payload");
-        };
-        self.valid_len += frame_len;
-        self.expect_seq = Some(seq + 1);
-        Ok(Some((seq, event)))
     }
 
     /// Byte length of the verified prefix — what the file should be
@@ -551,38 +534,19 @@ impl WalTailReader {
             });
         }
         self.file.seek(SeekFrom::Start(self.valid_len))?;
-        let mut prefix = [0u8; FRAME_PREFIX];
-        let got = read_up_to(&mut self.file, &mut prefix)?;
-        if got < FRAME_PREFIX {
-            return Ok(WalPoll::Pending);
-        }
-        let payload_len = u32::from_le_bytes(prefix[0..4].try_into().expect("4 bytes"));
-        let stored_crc = u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes"));
-        let seq = u64::from_le_bytes(prefix[8..16].try_into().expect("8 bytes"));
-        if payload_len > MAX_PAYLOAD {
+        match read_frame(&mut self.file, self.expect_seq, &mut self.payload)? {
+            // An incomplete frame is in flight: more bytes may arrive.
+            Frame::Short { .. } => Ok(WalPoll::Pending),
             // Real payloads are tiny; no further bytes can shrink the
             // claimed length back into range.
-            return self.poison("absurd payload length");
-        }
-        self.payload.resize(payload_len as usize, 0);
-        let got = read_up_to(&mut self.file, &mut self.payload)?;
-        if got < self.payload.len() {
-            return Ok(WalPoll::Pending);
-        }
-        if crc32_concat(&[&prefix[8..16], &self.payload]) != stored_crc {
-            return self.poison("checksum mismatch");
-        }
-        if let Some(expected) = self.expect_seq {
-            if seq != expected {
-                return self.poison("sequence discontinuity");
+            Frame::AbsurdLength => self.poison("absurd payload length"),
+            Frame::Bad { detail, .. } => self.poison(detail),
+            Frame::Event { seq, event, len } => {
+                self.valid_len += len;
+                self.expect_seq = Some(seq + 1);
+                Ok(WalPoll::Event { seq, event })
             }
         }
-        let Some(event) = WalEvent::decode(&self.payload) else {
-            return self.poison("undecodable event payload");
-        };
-        self.valid_len += (FRAME_PREFIX as u64) + payload_len as u64;
-        self.expect_seq = Some(seq + 1);
-        Ok(WalPoll::Event { seq, event })
     }
 
     /// Byte length of the verified prefix consumed so far.
@@ -603,6 +567,63 @@ impl WalTailReader {
             offset: self.valid_len,
             detail: detail.to_string(),
         })
+    }
+}
+
+/// What [`read_frame`] found at the reader's position. Each reader maps
+/// it onto its own tail semantics: [`WalReader`] classifies a dead log's
+/// end, [`WalTailReader`] waits on short reads and poisons on bad frames.
+enum Frame {
+    /// EOF before a whole frame: `read` bytes (0 at a clean frame
+    /// boundary) of a partial frame were consumed.
+    Short { read: u64 },
+    /// The length prefix claims more than [`MAX_PAYLOAD`]; only the
+    /// prefix was consumed, so no later frame boundary is knowable.
+    AbsurdLength,
+    /// A complete frame of `len` bytes, consumed, that failed
+    /// verification.
+    Bad { len: u64, detail: &'static str },
+    /// A verified record of `len` bytes.
+    Event { seq: u64, event: WalEvent, len: u64 },
+}
+
+/// Read and verify one frame: prefix, length bound, payload, checksum,
+/// sequence continuity against `expect_seq` (unchecked before the first
+/// record), and event decoding. `payload` is reused scratch.
+fn read_frame<R: Read>(
+    src: &mut R,
+    expect_seq: Option<u64>,
+    payload: &mut Vec<u8>,
+) -> io::Result<Frame> {
+    let mut prefix = [0u8; FRAME_PREFIX];
+    let got = read_up_to(src, &mut prefix)?;
+    if got < FRAME_PREFIX {
+        return Ok(Frame::Short { read: got as u64 });
+    }
+    let payload_len = u32::from_le_bytes(prefix[0..4].try_into().expect("4 bytes"));
+    let stored_crc = u32::from_le_bytes(prefix[4..8].try_into().expect("4 bytes"));
+    let seq = u64::from_le_bytes(prefix[8..16].try_into().expect("8 bytes"));
+    if payload_len > MAX_PAYLOAD {
+        return Ok(Frame::AbsurdLength);
+    }
+    payload.resize(payload_len as usize, 0);
+    let got = read_up_to(src, payload)?;
+    if got < payload.len() {
+        return Ok(Frame::Short {
+            read: (FRAME_PREFIX + got) as u64,
+        });
+    }
+    let len = (FRAME_PREFIX as u64) + payload_len as u64;
+    let bad = |detail| Ok(Frame::Bad { len, detail });
+    if crc32_concat(&[&prefix[8..16], payload]) != stored_crc {
+        return bad("checksum mismatch");
+    }
+    if expect_seq.is_some_and(|expected| seq != expected) {
+        return bad("sequence discontinuity");
+    }
+    match WalEvent::decode(payload) {
+        Some(event) => Ok(Frame::Event { seq, event, len }),
+        None => bad("undecodable event payload"),
     }
 }
 

@@ -18,7 +18,7 @@
 use rrp_core::{Document, EngineVersion, QueryContext, RankPromotionEngine};
 use rrp_experiments::runner::SweepExecutor;
 use rrp_model::{new_rng, SeedSequence};
-use rrp_ranking::{PolicyKind, PoolIndex, PoolView, PromotionConfig, PromotionRule, RankBuffers};
+use rrp_ranking::{PolicyKind, PoolIndex, PromotionConfig, PromotionRule, RankBuffers, RankSource};
 use rrp_serve::{DurableService, ReplicaService, ShardedPromotionService};
 
 fn corpus() -> Vec<Document> {
@@ -180,14 +180,15 @@ fn top_k_is_the_golden_prefix_at_every_layer() {
     }
 }
 
-/// Layer 3, the pooled serving path: `rank_top_k_pooled_into` — the
-/// `O(pool + k)` route that reads the persistent [`PoolIndex`] instead of
-/// scanning the corpus per query — reproduces the recorded top-10 golden
-/// for **all four policies** from the same RNG state. The pool's
-/// pre-shuffle member order feeds the generator directly, so a pool index
-/// that listed its members in any other order (or retained a stale member)
-/// would shift these vectors; equality with both the recorded constants
-/// and the live scanning path pins the RNG stream exactly.
+/// Layer 3, the pooled serving path: `rank_into` over a
+/// `RankSource::pooled` view with `limit = Some(10)` — the `O(pool + k)`
+/// route that reads the persistent [`PoolIndex`] instead of scanning the
+/// corpus per query — reproduces the recorded top-10 golden for **all
+/// four policies** from the same RNG state. The pool's pre-shuffle member
+/// order feeds the generator directly, so a pool index that listed its
+/// members in any other order (or retained a stale member) would shift
+/// these vectors; equality with both the recorded constants and the
+/// reference `rank` prefix pins the RNG stream exactly.
 #[test]
 fn pooled_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
     let docs = corpus();
@@ -196,9 +197,9 @@ fn pooled_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
     let mut sorted: Vec<usize> = (0..stats.len()).collect();
     sorted.sort_unstable_by(|&a, &b| rrp_ranking::popularity_order(&stats[a], &stats[b]));
     let pool = PoolIndex::build(&stats);
-    let view = PoolView::new(&stats, &sorted, &pool);
+    let source = RankSource::pooled(&stats, &sorted, &pool);
     let mut buffers = RankBuffers::new();
-    let (mut pooled, mut scanned) = (Vec::new(), Vec::new());
+    let mut pooled = Vec::new();
     let kinds: [(PolicyKind, &[usize; 10]); 4] = [
         (PolicyKind::Popularity, &GOLDEN_TOP10_POPULARITY_123),
         (PolicyKind::QualityOracle, &GOLDEN_TOP10_ORACLE_123),
@@ -206,17 +207,21 @@ fn pooled_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
         (PolicyKind::recommended(2), &GOLDEN_TOP10_SELECTIVE_123),
     ];
     for (kind, golden) in kinds {
-        kind.rank_top_k_pooled_into(view, 10, &mut new_rng(123), &mut buffers, &mut pooled);
-        assert_eq!(pooled, *golden, "{} pooled golden", kind.name());
-        kind.rank_top_k_presorted_into(
-            &stats,
-            &sorted,
-            10,
+        kind.rank_into(
+            source,
+            Some(10),
             &mut new_rng(123),
             &mut buffers,
-            &mut scanned,
+            &mut pooled,
         );
-        assert_eq!(pooled, scanned, "{} pooled ≡ scanning", kind.name());
+        assert_eq!(pooled, *golden, "{} pooled golden", kind.name());
+        let reference = kind.rank(&stats, &mut new_rng(123));
+        assert_eq!(
+            pooled,
+            reference[..10],
+            "{} pooled ≡ reference",
+            kind.name()
+        );
     }
 }
 
@@ -377,8 +382,7 @@ fn uniform_full_rerank_reproduces_its_golden_through_the_merged_order() {
 /// corpus into 1, 3 or 8 shard-local corpora, collecting per-shard
 /// candidates and running the deterministic merge reproduces the *same*
 /// recorded pooled golden as the corpus-wide path, from the same RNG
-/// state — through both the self-contained candidate form and the
-/// maintained-pool primitive the serving tier uses.
+/// state, through the `RankSource::retrieved` view the serving tier ranks.
 #[test]
 fn shard_candidate_merge_reproduces_the_pooled_goldens() {
     use rrp_ranking::{
@@ -407,38 +411,22 @@ fn shard_candidate_merge_reproduces_the_pooled_goldens() {
                 let order = PopularityIndex::build(&locals[s]);
                 let pool = PoolIndex::build(&locals[s]);
                 let mut c = ShardCandidates::new();
-                c.collect(
-                    PoolView::new(&locals[s], order.order(), &pool),
-                    10,
-                    &globals[s],
-                );
+                c.collect(&locals[s], order.order(), &pool, 10, &globals[s]);
                 c
             })
             .collect();
         merge_shard_candidates_into(&candidates, 10, &mut merged);
-        kind.rank_top_k_candidates_into(&merged, 10, &mut new_rng(123), &mut buffers, &mut out);
-        assert_eq!(
-            out, GOLDEN_TOP10_SELECTIVE_123,
-            "candidate form via {shards}-shard merge"
-        );
-
-        // The maintained-pool primitive (pool merged once per repair,
-        // rest retrieved per query) draws the identical stream.
-        let PolicyKind::Promotion(policy) = kind else {
-            unreachable!()
-        };
         let rest_slots: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
-        policy.rank_top_k_retrieved_into(
-            merged.pool(),
-            &rest_slots,
-            10,
+        kind.rank_into(
+            RankSource::retrieved(merged.pool(), &rest_slots),
+            Some(10),
             &mut new_rng(123),
             &mut buffers,
             &mut out,
         );
         assert_eq!(
             out, GOLDEN_TOP10_SELECTIVE_123,
-            "retrieved form via {shards}-shard merge"
+            "retrieved view via {shards}-shard merge"
         );
     }
 }
