@@ -8,13 +8,12 @@
 //! a user re-running the same query in the same session sees a stable list,
 //! while different users explore different promoted documents.
 
-use crate::cache::CorpusCache;
 use crate::document::{Document, QueryContext};
 use rrp_model::new_rng;
 use rrp_model::PageId;
 use rrp_ranking::{
-    EngineVersion, PageStats, PromotionConfig, PromotionRule, RandomizedRankPromotion, RankBuffers,
-    RankSource, RankingPolicy,
+    CorpusCache, EngineVersion, PageStats, PromotionConfig, PromotionRule, RandomizedRankPromotion,
+    RankBuffers, RankSource, RankingPolicy,
 };
 use serde::{Deserialize, Serialize};
 
@@ -113,11 +112,11 @@ impl RankPromotionEngine {
         RandomizedRankPromotion::new(self.config).with_version(self.version)
     }
 
-    /// Whether this engine's ranking actually reads a maintained pool
-    /// index: only the Selective rule does (the Uniform
-    /// rule must re-draw its per-page coins every query). Owners of a
-    /// [`CorpusCache`] use this to decide whether pool maintenance is
-    /// worth paying for — see [`CorpusCache::set_pool_maintained`].
+    /// Whether this engine's ranking actually reads the maintained pool:
+    /// only the Selective rule does (the Uniform rule must re-draw its
+    /// per-page coins every query). A serving tier routes top-k queries
+    /// through shard candidate retrieval only when this holds, since a
+    /// retrieved view carries the pool but not the whole corpus.
     pub fn reads_pool_index(&self) -> bool {
         self.config.rule == PromotionRule::Selective
     }
@@ -129,12 +128,16 @@ impl RankPromotionEngine {
     /// uses exactly this mapping.
     pub fn document_stats(documents: &[Document], stats: &mut Vec<PageStats>) {
         stats.clear();
-        stats.extend(
-            documents
-                .iter()
-                .enumerate()
-                .map(|(slot, d)| Self::document_stat(slot, d)),
-        );
+        stats.extend(Self::stats_of(documents));
+    }
+
+    /// The [`document_stat`](Self::document_stat) of each document, with
+    /// slots in input order.
+    fn stats_of(documents: &[Document]) -> impl Iterator<Item = PageStats> + '_ {
+        documents
+            .iter()
+            .enumerate()
+            .map(|(slot, d)| Self::document_stat(slot, d))
     }
 
     /// The single-document unit of [`document_stats`](Self::document_stats):
@@ -225,8 +228,7 @@ impl RankPromotionEngine {
         k: usize,
     ) -> Vec<u64> {
         let mut cache = CorpusCache::new();
-        cache.set_pool_maintained(self.reads_pool_index());
-        cache.rebuild(documents);
+        cache.rebuild(Self::stats_of(documents));
         let mut buffers = RankBuffers::new();
         let mut slots = Vec::with_capacity(k.min(documents.len()));
         self.rank_into(cache.view(), Some(k), context, &mut buffers, &mut slots);
@@ -453,6 +455,13 @@ mod tests {
     const LIMITS: [Option<usize>; 7] =
         [None, Some(0), Some(1), Some(2), Some(5), Some(30), Some(99)];
 
+    /// The documents' cache, as a batch server would build it once.
+    fn cached(docs: &[Document]) -> CorpusCache {
+        let mut cache = CorpusCache::new();
+        cache.rebuild(RankPromotionEngine::stats_of(docs));
+        cache
+    }
+
     /// The cache's pool membership as a plain mask (the merged source's
     /// membership input).
     fn pool_mask(cache: &CorpusCache) -> Vec<bool> {
@@ -463,8 +472,7 @@ mod tests {
     fn pooled_and_cached_paths_match_the_scanning_path() {
         let docs = corpus();
         let engine = RankPromotionEngine::recommended().with_seed(21);
-        let mut cache = CorpusCache::new();
-        cache.rebuild(&docs);
+        let cache = cached(&docs);
         let mask = pool_mask(&cache);
         let rest: Vec<usize> = cache
             .order()
@@ -497,8 +505,7 @@ mod tests {
                 .with_seed(21),
         ];
         for engine in engines {
-            let mut cache = CorpusCache::new();
-            cache.rebuild(&docs);
+            let cache = cached(&docs);
             let mask = pool_mask(&cache);
             let merged = RankSource::merged(cache.pool().members(), &mask, cache.order());
             let mut buffers = RankBuffers::new();
@@ -524,8 +531,7 @@ mod tests {
         assert_eq!(v2.version(), EngineVersion::V2);
         assert_eq!(v2.config(), v1.config());
 
-        let mut cache = CorpusCache::new();
-        cache.rebuild(&docs);
+        let cache = cached(&docs);
         let mask = pool_mask(&cache);
         let mut buffers = RankBuffers::new();
         let (mut pooled, mut merged) = (Vec::new(), Vec::new());
@@ -591,8 +597,7 @@ mod tests {
         let engine = RankPromotionEngine::recommended().with_seed(3);
 
         // Snapshot built once, as a batch server would.
-        let mut cache = CorpusCache::new();
-        cache.rebuild(&docs);
+        let cache = cached(&docs);
 
         let mut scratch = RerankScratch::with_capacity(docs.len());
         let mut buffers = RankBuffers::new();

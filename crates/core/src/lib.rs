@@ -50,14 +50,12 @@
 #![warn(rust_2018_idioms)]
 
 pub mod advisor;
-pub mod cache;
 pub mod document;
 pub mod engine;
 pub mod prelude;
 pub mod shardcache;
 
 pub use advisor::{Advice, CandidateOutcome, ParameterAdvisor};
-pub use cache::CorpusCache;
 pub use document::{Document, QueryContext};
 pub use engine::{RankPromotionEngine, RerankScratch};
 pub use shardcache::{PublishedVersion, ShardedCorpusCache};

@@ -2,12 +2,12 @@
 //! read-only versions — the storage side of shard-local top-k candidate
 //! retrieval under concurrent readers.
 //!
-//! Where [`CorpusCache`] keeps one corpus-wide snapshot current,
-//! [`ShardedCorpusCache`] keeps one `CorpusCache` **per shard**, each over
-//! that shard's documents under dense *shard-local* slots, with a
-//! shard-local dirty list repaired independently. A top-`k` query then
-//! never touches corpus-wide ranking state: each shard contributes a
-//! [`ShardCandidates`] rest prefix (its first `c` non-pool
+//! [`ShardedCorpusCache`] keeps one [`CorpusCache`] — the same incremental
+//! cache the simulator's day loop keeps over its whole population — **per
+//! shard**, each over that shard's documents under dense *shard-local*
+//! slots, with a shard-local dirty list repaired independently. A top-`k`
+//! query then never touches corpus-wide ranking state: each shard
+//! contributes a [`ShardCandidates`] rest prefix (its first `c` non-pool
 //! popularity-order entries, slots relabeled to the documents' global
 //! slots),
 //! [`merge_shard_candidates_into`](rrp_ranking::merge_shard_candidates_into)
@@ -62,10 +62,10 @@
 //!   globally ordered), which is what makes a shard-local popularity
 //!   order agree with the global order's slot tie-break after relabeling.
 
-use crate::cache::CorpusCache;
 use crate::document::Document;
+use crate::engine::RankPromotionEngine;
 use rrp_model::PageId;
-use rrp_ranking::{RankSource, ShardCandidates, SharedLazyOrder};
+use rrp_ranking::{CorpusCache, RankSource, ShardCandidates, SharedLazyOrder};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -107,15 +107,13 @@ struct PublishedShard {
 #[derive(Debug)]
 pub struct PublishedVersion {
     epoch: u64,
-    pool_maintained: bool,
     shards: Vec<PublishedShard>,
     /// Global slot → (shard, local slot).
     placement: Arc<Vec<(u32, u32)>>,
     /// Global slot → [`PageId`] — resolves ranked slots to ids by direct
     /// indexing on the per-slot hot loop.
     pages: Arc<Vec<PageId>>,
-    /// Global slot → pool membership (all `false` while maintenance is
-    /// off, matching the empty shard pools).
+    /// Global slot → pool membership.
     pool_mask: Arc<Vec<bool>>,
     /// The merged global pool under global slots, ascending — the
     /// pre-shuffle pool order every top-k query shuffles.
@@ -129,20 +127,15 @@ impl PublishedVersion {
     /// The empty version at epoch 0 — what a service publishes before any
     /// mutation exists. An empty corpus never republishes: inserts are the
     /// only path to a non-empty one, and they bump the epoch.
-    pub fn empty(shard_count: usize, pool_maintained: bool) -> Self {
+    pub fn empty(shard_count: usize) -> Self {
         let shards = (0..shard_count.max(1))
-            .map(|_| {
-                let mut cache = CorpusCache::new();
-                cache.set_pool_maintained(pool_maintained);
-                PublishedShard {
-                    cache: Arc::new(cache),
-                    globals: Arc::new(Vec::new()),
-                }
+            .map(|_| PublishedShard {
+                cache: Arc::new(CorpusCache::new()),
+                globals: Arc::new(Vec::new()),
             })
             .collect();
         PublishedVersion {
             epoch: 0,
-            pool_maintained,
             shards,
             placement: Arc::new(Vec::new()),
             pages: Arc::new(Vec::new()),
@@ -174,12 +167,6 @@ impl PublishedVersion {
     #[inline]
     pub fn is_empty(&self) -> bool {
         self.placement.is_empty()
-    }
-
-    /// Whether pool maintenance was enabled when the version was cut.
-    #[inline]
-    pub fn pool_maintained(&self) -> bool {
-        self.pool_maintained
     }
 
     /// The merged global pool: every shard's pool members under global
@@ -272,7 +259,7 @@ impl PublishedVersion {
     /// `limit` non-pool entries of each shard's popularity order, slots
     /// rewritten to global slots — `O(limit)` per shard past any pool
     /// members sitting above the cut. The pool half comes from
-    /// [`pool_slots`](Self::pool_slots). Requires maintained pools.
+    /// [`pool_slots`](Self::pool_slots).
     pub fn collect_rest_candidates(&self, limit: usize, out: &mut Vec<ShardCandidates>) {
         out.resize_with(self.shards.len(), ShardCandidates::new);
         for (shard, candidates) in self.shards.iter().zip(out.iter_mut()) {
@@ -302,10 +289,8 @@ pub struct ShardedCorpusCache {
     /// indirection per slot.
     pages: Arc<Vec<PageId>>,
     /// Global slot → pool membership, maintained eagerly alongside the
-    /// shard stats (stats are patched eagerly too, so by the time the
-    /// [`in_pool`](Self::in_pool) contract holds — after a repair — this
-    /// mask equals every shard pool's repaired membership). All `false`
-    /// while pool maintenance is off, matching the empty shard pools.
+    /// shard stats (stats are patched eagerly too, so after a repair this
+    /// mask equals every shard pool's repaired membership).
     pool_mask: Arc<Vec<bool>>,
     /// The merged global pool under global slots, ascending. Re-merged at
     /// repair/publication time (membership only moves when a mutation
@@ -323,10 +308,12 @@ pub struct ShardedCorpusCache {
     #[serde(skip)]
     since_mask: Vec<bool>,
     /// Whether `since_publish` is a *complete* diff against the currently
-    /// published version. False after deserialisation, [`clear`](Self::clear)
-    /// or a pool-maintenance flip — publication then charges from the
-    /// actual repair and skips recycling once, falling back to
-    /// copy-on-write.
+    /// published version, worth replaying onto it. False after
+    /// deserialisation or [`clear`](Self::clear), and in a fresh cache,
+    /// whose first retired version is the empty one (replaying the whole
+    /// corpus onto it would cost more than copy-on-write) — publication
+    /// then charges from the actual repair and skips recycling once,
+    /// falling back to copy-on-write.
     #[serde(skip)]
     diff_log_intact: bool,
     /// The diff consumed by the last [`publish`](Self::publish), retained
@@ -360,36 +347,12 @@ impl ShardedCorpusCache {
             merge_heads: Vec::new(),
             since_publish: Vec::new(),
             since_mask: Vec::new(),
-            diff_log_intact: true,
+            diff_log_intact: false,
             recycle_diff: Vec::new(),
             recycle_valid: false,
             pool_spare: Vec::new(),
             order_spare: Vec::new(),
         }
-    }
-
-    /// Enable or disable pool maintenance on every shard cache (see
-    /// [`CorpusCache::set_pool_maintained`]); candidate retrieval requires
-    /// it on.
-    pub fn set_pool_maintained(&mut self, maintained: bool) {
-        for shard in &mut self.shards {
-            Arc::make_mut(&mut shard.cache).set_pool_maintained(maintained);
-        }
-        // The global membership mask mirrors the shard pools, so it
-        // follows the flag: recompute from the eagerly-patched stats
-        // (all `false` when maintenance is off — unmaintained pools are
-        // empty).
-        let placement = &self.placement;
-        let shards = &self.shards;
-        let mask = Arc::make_mut(&mut self.pool_mask);
-        for global in 0..mask.len() {
-            let (shard, local) = placement[global];
-            mask[global] =
-                maintained && shards[shard as usize].cache.stats()[local as usize].is_unexplored();
-        }
-        // A maintenance flip is not representable in the slot diff log:
-        // invalidate it so the next publication rebuilds honestly.
-        self.diff_log_intact = false;
     }
 
     /// Number of shards.
@@ -433,15 +396,14 @@ impl ShardedCorpusCache {
     /// they ascend with local slots.
     pub fn push(&mut self, shard: usize, document: &Document) {
         debug_assert!(shard < self.shards.len());
-        let maintained = self.pool_maintained();
         let global_slot = self.placement.len();
         let local = self.shards[shard].globals.len();
         Arc::make_mut(&mut self.placement).push((shard as u32, local as u32));
         Arc::make_mut(&mut self.pages).push(PageId::new(document.id));
-        Arc::make_mut(&mut self.pool_mask).push(maintained && document.is_unexplored);
+        Arc::make_mut(&mut self.pool_mask).push(document.is_unexplored);
         let entry = &mut self.shards[shard];
         Arc::make_mut(&mut entry.globals).push(global_slot);
-        Arc::make_mut(&mut entry.cache).push(document);
+        Arc::make_mut(&mut entry.cache).push(RankPromotionEngine::document_stat(local, document));
         self.note_mutation(global_slot);
     }
 
@@ -450,11 +412,12 @@ impl ShardedCorpusCache {
     /// amortised — a write to a buffer still shared with a published
     /// version falls back to one copy-on-write clone).
     pub fn patch(&mut self, global_slot: usize, document: &Document) {
-        let maintained = self.pool_maintained();
         let (shard, local) = self.placement[global_slot];
-        Arc::make_mut(&mut self.shards[shard as usize].cache).patch(local as usize, document);
+        let (shard, local) = (shard as usize, local as usize);
+        Arc::make_mut(&mut self.shards[shard].cache)
+            .patch(local, RankPromotionEngine::document_stat(local, document));
         Arc::make_mut(&mut self.pages)[global_slot] = PageId::new(document.id);
-        Arc::make_mut(&mut self.pool_mask)[global_slot] = maintained && document.is_unexplored;
+        Arc::make_mut(&mut self.pool_mask)[global_slot] = document.is_unexplored;
         self.note_mutation(global_slot);
     }
 
@@ -523,7 +486,6 @@ impl ShardedCorpusCache {
         self.diff_log_intact = true;
         let version = PublishedVersion {
             epoch,
-            pool_maintained: self.pool_maintained(),
             shards: self
                 .shards
                 .iter()
@@ -592,7 +554,6 @@ impl ShardedCorpusCache {
         let mut placement_buf = reclaim(&self.placement, placement);
         let mut pages_buf = reclaim(&self.pages, pages);
         let mut mask_buf = reclaim(&self.pool_mask, pool_mask);
-        let maintained = self.pool_maintained();
         // Catch the reclaimed buffers up: chronological replay keeps
         // per-shard pushes in ascending local-slot order, and patched
         // slots take their current (post-diff) content in one write.
@@ -602,10 +563,11 @@ impl ShardedCorpusCache {
             let document = fetch(global);
             let (cache_buf, globals_buf) = &mut shard_bufs[shard];
             if let Some(cache) = cache_buf {
+                let stat = RankPromotionEngine::document_stat(local, &document);
                 if local == cache.len() {
-                    cache.push(&document);
+                    cache.push(stat);
                 } else {
-                    cache.patch(local, &document);
+                    cache.patch(local, stat);
                 }
             }
             if let Some(globals) = globals_buf {
@@ -629,7 +591,7 @@ impl ShardedCorpusCache {
                 }
             }
             if let Some(buf) = &mut mask_buf {
-                let member = maintained && document.is_unexplored;
+                let member = document.is_unexplored;
                 if global == buf.len() {
                     buf.push(member);
                 } else {
@@ -659,49 +621,6 @@ impl ShardedCorpusCache {
         }
     }
 
-    /// The merged global pool: every shard's pool members under global
-    /// slots, ascending — identical in content and order to a corpus-wide
-    /// [`PoolIndex::members`](rrp_ranking::PoolIndex::members), kept
-    /// current by [`repair`](Self::repair) / [`publish`](Self::publish).
-    #[inline]
-    pub fn pool_slots(&self) -> &[usize] {
-        &self.merged_pool
-    }
-
-    /// The [`PageId`] of the document at `global_slot` — one direct vec
-    /// index, no placement indirection.
-    #[inline]
-    pub fn page_of(&self, global_slot: usize) -> PageId {
-        self.pages[global_slot]
-    }
-
-    /// The cached [`PageStats`](rrp_ranking::PageStats) of the document at
-    /// `global_slot`, relabeled to its global slot (`O(1)`).
-    #[inline]
-    pub fn stat_of(&self, global_slot: usize) -> rrp_ranking::PageStats {
-        let (shard, local) = self.placement[global_slot];
-        let mut stat = self.shards[shard as usize].cache.stats()[local as usize];
-        stat.slot = global_slot;
-        stat
-    }
-
-    /// Whether `global_slot` is a member of its shard's promotion pool —
-    /// one direct mask index, no placement indirection. Requires
-    /// maintained pools and a preceding [`repair`](Self::repair) (the
-    /// repair debug-asserts this mask against the re-merged global pool).
-    #[inline]
-    pub fn in_pool(&self, global_slot: usize) -> bool {
-        self.pool_mask[global_slot]
-    }
-
-    /// Whether pool maintenance is enabled on the shard caches (see
-    /// [`set_pool_maintained`](Self::set_pool_maintained)).
-    pub fn pool_maintained(&self) -> bool {
-        self.shards
-            .first()
-            .is_some_and(|s| s.cache.pool_maintained())
-    }
-
     /// Re-merge the shard pools into the maintained global pool — the
     /// *same* ascending-slot k-way merge the per-query candidate path
     /// runs ([`merge_ascending_slots_into`](rrp_ranking::merge_ascending_slots_into)),
@@ -721,53 +640,14 @@ impl ShardedCorpusCache {
         self.merged_pool = Arc::new(buffer);
     }
 
-    /// Collect every shard's per-query top-`k` rest candidates into `out`
-    /// (resized to the shard count; inner storage reused): the first
-    /// `limit` non-pool entries of each shard's popularity order, slots
-    /// rewritten to global slots — `O(limit)` per shard past any pool
-    /// members sitting above the cut. The pool half comes from
-    /// [`pool_slots`](Self::pool_slots). Requires maintained pools and a
-    /// preceding [`repair`](Self::repair).
-    pub fn collect_rest_candidates(&self, limit: usize, out: &mut Vec<ShardCandidates>) {
-        out.resize_with(self.shards.len(), ShardCandidates::new);
-        for (shard, candidates) in self.shards.iter().zip(out.iter_mut()) {
-            candidates.collect_rest(
-                shard.cache.stats(),
-                shard.cache.order(),
-                shard.cache.pool(),
-                limit,
-                &shard.globals,
-            );
-        }
-    }
-
-    /// [`collect_rest_candidates`](Self::collect_rest_candidates) with the
-    /// pool halves included — the self-contained per-query form the merge
-    /// goldens pin; serving tiers use the rest-only form plus the
-    /// maintained [`pool_slots`](Self::pool_slots) instead.
-    pub fn collect_candidates(&self, limit: usize, out: &mut Vec<ShardCandidates>) {
-        out.resize_with(self.shards.len(), ShardCandidates::new);
-        for (shard, candidates) in self.shards.iter().zip(out.iter_mut()) {
-            candidates.collect(
-                shard.cache.stats(),
-                shard.cache.order(),
-                shard.cache.pool(),
-                limit,
-                &shard.globals,
-            );
-        }
-    }
-
-    /// Discard everything and start over with the same shard count and
-    /// pool-maintenance setting — the first half of a rebuild; the owner
+    /// Discard everything and start over with the same shard count — the
+    /// first half of a rebuild; the owner
     /// then replays every document through [`push`](Self::push) in global
     /// order and calls [`repair`](Self::repair). Invalidates the diff log
     /// (the next publication falls back to copy-on-write once).
     pub fn clear(&mut self) {
-        let maintained = self.pool_maintained();
         for shard in self.shards.iter_mut() {
             *shard = ShardCache::default();
-            Arc::make_mut(&mut shard.cache).set_pool_maintained(maintained);
         }
         self.placement = Arc::new(Vec::new());
         self.pages = Arc::new(Vec::new());
@@ -838,6 +718,16 @@ mod tests {
             .collect()
     }
 
+    /// The merged rest prefix of `version`'s top-`limit` candidates.
+    fn merged_rest(version: &PublishedVersion, limit: usize) -> Vec<usize> {
+        let mut candidates = Vec::new();
+        version.collect_rest_candidates(limit, &mut candidates);
+        let mut merged = MergedCandidates::new();
+        merge_shard_candidates_into(&candidates, limit, &mut merged);
+        assert!(merged.pool().is_empty(), "rest candidates carry no pool");
+        merged.rest().iter().map(|p| p.slot).collect()
+    }
+
     #[test]
     fn merged_candidates_equal_the_corpus_wide_derivation() {
         let docs = documents(60);
@@ -846,32 +736,13 @@ mod tests {
             let mut cache = filled(&docs, shards);
             assert_eq!(cache.len(), 60);
             assert_eq!(cache.shard_count(), shards);
-            cache.repair();
+            let (version, _) = cache.publish(1);
 
-            // The maintained merged pool is the corpus-wide pool.
-            assert_eq!(cache.pool_slots(), pool.members(), "{shards} shards");
-
-            // And the self-contained per-query collection merges to the
-            // same pool plus the corpus-wide non-pool prefix.
-            let mut candidates = Vec::new();
-            cache.collect_candidates(7, &mut candidates);
-            let mut merged = MergedCandidates::new();
-            merge_shard_candidates_into(&candidates, 7, &mut merged);
-            assert_eq!(merged.pool(), pool.members(), "{shards} shards");
-            let rest_slots: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
+            // The maintained merged pool is the corpus-wide pool, and the
+            // merged rest candidates are the corpus-wide non-pool prefix.
+            assert_eq!(version.pool_slots(), pool.members(), "{shards} shards");
             assert_eq!(
-                rest_slots,
-                expected_rest(&order, &pool, 7),
-                "{shards} shards"
-            );
-
-            // The rest-only serving collection yields the same prefix.
-            cache.collect_rest_candidates(7, &mut candidates);
-            merge_shard_candidates_into(&candidates, 7, &mut merged);
-            assert!(merged.pool().is_empty());
-            let rest_slots: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
-            assert_eq!(
-                rest_slots,
+                merged_rest(&version, 7),
                 expected_rest(&order, &pool, 7),
                 "{shards} shards"
             );
@@ -895,14 +766,11 @@ mod tests {
         assert_eq!(cache.repair(), 3);
 
         let (order, pool) = global_reference(&docs);
-        assert_eq!(cache.pool_slots(), pool.members());
-        assert!(!cache.pool_slots().contains(&0));
-        assert!(cache.pool_slots().contains(&40));
-        let mut candidates = Vec::new();
-        cache.collect_rest_candidates(5, &mut candidates);
-        let mut merged = MergedCandidates::new();
-        merge_shard_candidates_into(&candidates, 5, &mut merged);
-        let rest_slots: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
+        let (version, _) = cache.publish(1);
+        assert_eq!(version.pool_slots(), pool.members());
+        assert!(!version.pool_slots().contains(&0));
+        assert!(version.pool_slots().contains(&40));
+        let rest_slots = merged_rest(&version, 5);
         assert_eq!(rest_slots[0], 7, "the boosted slot leads the order");
         assert_eq!(rest_slots, expected_rest(&order, &pool, 5));
     }
@@ -1041,21 +909,13 @@ mod tests {
     fn stat_of_and_in_pool_resolve_through_the_placement_map() {
         let docs = documents(30);
         let mut cache = filled(&docs, 3);
-        cache.repair();
+        let (version, _) = cache.publish(1);
         let mut stats = Vec::new();
         crate::engine::RankPromotionEngine::document_stats(&docs, &mut stats);
-        for (slot, stat) in stats.iter().enumerate() {
-            assert_eq!(cache.stat_of(slot), *stat);
-            assert_eq!(cache.in_pool(slot), docs[slot].is_unexplored);
-        }
-        assert!(cache.pool_maintained());
-        // The published view resolves identically.
-        let (version, _) = cache.publish(1);
         for (slot, stat) in stats.iter().enumerate() {
             assert_eq!(version.stat_of(slot), *stat);
             assert_eq!(version.in_pool(slot), docs[slot].is_unexplored);
         }
-        assert!(version.pool_maintained());
         assert_eq!(version.shard_count(), 3);
         assert!(!version.is_empty());
     }
@@ -1064,14 +924,14 @@ mod tests {
     fn page_of_resolves_ids_through_the_owning_shard() {
         let docs = documents(25);
         let mut cache = filled(&docs, 3);
-        cache.repair();
+        let (version, _) = cache.publish(1);
         for (slot, doc) in docs.iter().enumerate() {
-            assert_eq!(cache.page_of(slot), PageId::new(doc.id));
+            assert_eq!(version.page_of(slot), PageId::new(doc.id));
         }
     }
 
     #[test]
-    fn eager_membership_mask_tracks_mutations_and_the_maintenance_flag() {
+    fn eager_membership_mask_tracks_mutations() {
         let mut docs = documents(30);
         let mut cache = filled(&docs, 3);
         cache.repair();
@@ -1083,19 +943,11 @@ mod tests {
         cache.patch(1, &docs[1]);
         docs.push(Document::unexplored(80)); // slot 30 joins
         cache.push(shard_of(80, 3), docs.last().unwrap());
-        cache.repair(); // debug-asserts mask ≡ re-merged global pool
+        // The repair debug-asserts mask ≡ re-merged global pool.
+        let (version, _) = cache.publish(1);
         for (slot, doc) in docs.iter().enumerate() {
-            assert_eq!(cache.in_pool(slot), doc.is_unexplored, "slot {slot}");
-            assert_eq!(cache.page_of(slot), PageId::new(doc.id), "slot {slot}");
-        }
-        // Turning maintenance off empties the mask (unmaintained pools are
-        // empty); turning it back on recomputes from the patched stats.
-        cache.set_pool_maintained(false);
-        assert!((0..docs.len()).all(|s| !cache.in_pool(s)));
-        cache.set_pool_maintained(true);
-        cache.repair();
-        for (slot, doc) in docs.iter().enumerate() {
-            assert_eq!(cache.in_pool(slot), doc.is_unexplored, "slot {slot}");
+            assert_eq!(version.in_pool(slot), doc.is_unexplored, "slot {slot}");
+            assert_eq!(version.page_of(slot), PageId::new(doc.id), "slot {slot}");
         }
     }
 
@@ -1103,22 +955,43 @@ mod tests {
     fn clear_keeps_shape_and_pool_setting_for_a_replay() {
         let docs = documents(20);
         let mut cache = filled(&docs, 3);
-        cache.set_pool_maintained(false);
         cache.clear();
         assert!(cache.is_empty());
         assert_eq!(cache.shard_count(), 3);
-        assert!(cache.pool_slots().is_empty());
+        assert_eq!(cache.dirty_len(), 0);
         for doc in &docs {
             cache.push(shard_of(doc.id, 3), doc);
         }
-        cache.repair();
+        assert_eq!(cache.repair(), docs.len() as u64);
         assert_eq!(cache.len(), docs.len());
-        // Pool maintenance stayed off across the clear (candidate
-        // retrieval is gated on it, so the setting must survive a replay).
-        assert!(cache.shards.iter().all(|s| !s.cache.pool_maintained()));
+        // The replay maintains the pool again, like any other push stream.
+        let (version, _) = cache.publish(1);
+        let (order, pool) = global_reference(&docs);
+        assert_eq!(version.pool_slots(), pool.members());
+        assert_eq!(version.merged_order(), order.order());
     }
 
-    /// The PR 4 `is_unexplored` tripwire, at the shard tier: mutating a
+    /// A copy of `cache` whose slot `local` has awareness `awareness`,
+    /// written through the serialized form so the cache's dirty list never
+    /// hears of it.
+    #[cfg(debug_assertions)]
+    fn with_unmarked_awareness(cache: &CorpusCache, local: usize, awareness: f64) -> CorpusCache {
+        use serde::Value;
+        fn field<'v>(value: &'v mut Value, key: &str) -> &'v mut Value {
+            let Value::Map(fields) = value else {
+                panic!("a struct serializes to a map")
+            };
+            &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
+        }
+        let mut value = cache.to_value();
+        let Value::Seq(stats) = field(&mut value, "stats") else {
+            panic!("stats serialize to a sequence")
+        };
+        *field(&mut stats[local], "awareness") = Value::F64(awareness);
+        CorpusCache::from_value(&value).unwrap()
+    }
+
+    /// The `is_unexplored` tripwire, at the shard tier: mutating a
     /// document's awareness *without* routing the mutation through
     /// [`ShardedCorpusCache::patch`] leaves that shard's pool index stale,
     /// and the membership debug assertion inside the next shard-local
@@ -1137,11 +1010,9 @@ mod tests {
         // repair runs on the drifted shard and its membership assertion
         // fires.
         assert_eq!(shard_of(0, 3), shard_of(3, 3));
-        docs[0].is_unexplored = false;
         let (shard, local) = cache.placement[0];
-        let stat = crate::engine::RankPromotionEngine::document_stat(local as usize, &docs[0]);
-        Arc::make_mut(&mut cache.shards[shard as usize].cache).stats_mut_unmarked()
-            [local as usize] = stat;
+        let entry = &mut cache.shards[shard as usize];
+        entry.cache = Arc::new(with_unmarked_awareness(&entry.cache, local as usize, 1.0));
         docs[3].popularity = 0.9;
         cache.patch(3, &docs[3]);
         cache.repair();

@@ -99,8 +99,7 @@ impl ShardCandidates {
 
     /// [`collect`](Self::collect) without the pool half — the steady-state
     /// serving path: pool membership changes only on mutation, so its
-    /// owner merges the pools once per repair
-    /// ([`ShardedCorpusCache`](../../rrp_core/struct.ShardedCorpusCache.html)
+    /// owner merges the pools once per repair (a sharded serving tier
     /// keeps the result) and per query only the `O(limit)` rest prefix is
     /// retrieved. Leaves `pool` empty.
     pub fn collect_rest(

@@ -111,9 +111,9 @@ impl PolicyKind {
     /// Whether ranking actually reads the source's pool: only the
     /// selective promotion rule does. Every other kind either ignores the
     /// pool entirely or (the Uniform rule) must re-draw its per-page
-    /// coins, so callers that maintain a [`PoolIndex`](crate::PoolIndex)
-    /// per step can skip its repair when this is `false` — the index is
-    /// dead state for such a policy.
+    /// coins, so only a pool-reading policy can rank from a
+    /// [`RankSource::retrieved`] view. A [`CorpusCache`](crate::CorpusCache)
+    /// maintains its pool either way.
     pub fn reads_pool_index(&self) -> bool {
         matches!(
             self,

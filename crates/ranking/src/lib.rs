@@ -32,6 +32,7 @@
 #![warn(rust_2018_idioms)]
 
 pub mod buffers;
+pub mod cache;
 pub mod candidates;
 pub mod deterministic;
 pub mod kind;
@@ -47,6 +48,7 @@ pub mod source;
 pub mod stats;
 
 pub use buffers::RankBuffers;
+pub use cache::CorpusCache;
 pub use candidates::{
     merge_ascending_slots_into, merge_shard_candidates_into, merge_shard_orders_into,
     MergedCandidates, ShardCandidates,

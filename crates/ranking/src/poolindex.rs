@@ -41,9 +41,6 @@ pub struct PoolIndex {
     /// never reset — so the deterministic-remainder filter reads it
     /// without an `O(n)` clear per query.
     mask: Vec<bool>,
-    /// Scratch: per-slot "is dirty" mask during a repair.
-    #[serde(skip)]
-    removed: Vec<bool>,
     /// Scratch: dirty slots that test unexplored, sorted ascending.
     #[serde(skip)]
     incoming: Vec<usize>,
@@ -117,73 +114,52 @@ impl PoolIndex {
     }
 
     /// Restore membership after the slots in `dirty` changed their stats,
-    /// testing against the *current* `stats`. Slots may appear multiple
-    /// times and in any order; unlike
-    /// [`PopularityIndex::repair`](crate::PopularityIndex::repair) the list
-    /// is borrowed, not drained, so the same dirty list can feed both
-    /// indexes before the popularity repair consumes it. The population may
-    /// have grown since the last repair (`stats.len() > indexed_slots()`),
-    /// in which case every new slot must appear in `dirty`. Allocation-free
-    /// once the scratch buffers have grown to `n`.
+    /// testing against the *current* `stats`. `dirty` lists each changed
+    /// slot once, in any order, and `is_dirty` is its per-slot membership
+    /// mask over all of `stats` — the owning
+    /// [`CorpusCache`](crate::CorpusCache)'s entry-time dedup. The
+    /// population may have grown since the last repair
+    /// (`stats.len() > indexed_slots()`), in which case every new slot must
+    /// be dirty. Allocation-free once the scratch buffers have grown to
+    /// `n`.
     ///
-    /// Cost: amortised `O(pool + d log d)` for `d` dirty slots — one pass
-    /// over the current members, a sort-and-merge of the dirty survivors,
-    /// and an `O(d)` reset of exactly the scratch entries touched (the
-    /// scratch mask grows to `n` once and is never re-zeroed wholesale) —
-    /// versus the `O(n)` scan + mask reset of a rebuild.
+    /// Cost: `O(pool + d log d)` for `d` dirty slots — one pass over the
+    /// current members and a sort-and-merge of the dirty survivors — versus
+    /// the `O(n)` scan of a rebuild.
     ///
     /// Debug builds verify the repaired membership against a fresh
-    /// [`is_unexplored`](crate::PageStats::is_unexplored) scan afterwards
-    /// (and on the empty-dirty fast path), so any producer that mutates
-    /// awareness without marking the slot dirty trips an assertion at the
-    /// next repair instead of silently drifting the pool.
-    pub fn repair(&mut self, stats: &[PageStats], dirty: &[usize]) {
+    /// [`is_unexplored`](crate::PageStats::is_unexplored) scan afterwards,
+    /// so any producer that mutates awareness without marking the slot
+    /// dirty trips an assertion at the next repair instead of silently
+    /// drifting the pool.
+    pub(crate) fn repair(&mut self, stats: &[PageStats], dirty: &[usize], is_dirty: &[bool]) {
         debug_assert!(
             stats.len() >= self.mask.len(),
             "the population never shrinks"
         );
-        if dirty.is_empty() {
-            debug_assert!(self.is_consistent(stats));
-            return;
-        }
-
-        // Grow the membership mask for inserted slots (new entries start
-        // outside the pool and join below if they test unexplored).
-        let previously_indexed = self.mask.len();
-        self.mask.resize(stats.len(), false);
-
-        // Deduplicate via the scratch mask. Invariant: `removed` is
-        // all-false between repairs (each repair resets exactly the
-        // entries it set), so it only ever *grows* here — re-zeroing all
-        // `n` entries per repair would silently turn the advertised
-        // `O(pool + d)`-class bound into `O(n)`.
-        debug_assert!(self.removed.iter().all(|&r| !r));
-        if self.removed.len() < stats.len() {
-            self.removed.resize(stats.len(), false);
-        }
-        self.incoming.clear();
-        for &slot in dirty {
-            if !self.removed[slot] {
-                self.removed[slot] = true;
-                self.incoming.push(slot);
-            }
-        }
+        debug_assert_eq!(is_dirty.len(), stats.len());
         debug_assert!(
-            (previously_indexed..stats.len()).all(|slot| self.removed[slot]),
+            (self.mask.len()..stats.len()).all(|slot| is_dirty[slot]),
             "every slot inserted since the last repair must be dirty"
         );
 
-        // Re-test membership for every dirty slot and update the mask.
-        self.incoming.retain(|&slot| {
+        // Grow the membership mask for inserted slots, then re-test every
+        // dirty slot: the mask takes the fresh answer, and the slots that
+        // test unexplored are merged back into the member list below.
+        self.mask.resize(stats.len(), false);
+        self.incoming.clear();
+        for &slot in dirty {
             let member = stats[slot].is_unexplored();
             self.mask[slot] = member;
-            member
-        });
+            if member {
+                self.incoming.push(slot);
+            }
+        }
 
         // Pull dirty slots out of the member list, keeping the clean
         // remainder (already ascending), then merge the dirty survivors
         // back in slot order.
-        self.members.retain(|&slot| !self.removed[slot]);
+        self.members.retain(|&slot| !is_dirty[slot]);
         self.incoming.sort_unstable();
         self.merged.clear();
         self.merged
@@ -199,13 +175,6 @@ impl PoolIndex {
         self.merged
             .extend_from_slice(&self.incoming[next_incoming..]);
         std::mem::swap(&mut self.members, &mut self.merged);
-
-        // Restore the all-false scratch invariant: O(d), duplicates
-        // included, instead of an O(n) clear at the next repair.
-        for &slot in dirty {
-            self.removed[slot] = false;
-        }
-
         debug_assert!(self.is_consistent(stats));
     }
 
@@ -231,6 +200,15 @@ mod tests {
     use super::*;
     use rrp_model::PageId;
 
+    /// Repair `index` after the distinct slots in `dirty` changed.
+    fn repair(index: &mut PoolIndex, ps: &[PageStats], dirty: &[usize]) {
+        let mut is_dirty = vec![false; ps.len()];
+        for &slot in dirty {
+            is_dirty[slot] = true;
+        }
+        index.repair(ps, dirty, &is_dirty);
+    }
+
     /// Pages where `explored[i]` decides awareness (explored ⇒ 0.5).
     fn stats(explored: &[bool]) -> Vec<PageStats> {
         explored
@@ -240,14 +218,6 @@ mod tests {
                 let awareness = if e { 0.5 } else { 0.0 };
                 PageStats::new(slot, PageId::new(slot as u64), awareness * 0.8, awareness)
             })
-            .collect()
-    }
-
-    fn fresh_members(stats: &[PageStats]) -> Vec<usize> {
-        stats
-            .iter()
-            .filter(|p| p.is_unexplored())
-            .map(|p| p.slot)
             .collect()
     }
 
@@ -269,7 +239,7 @@ mod tests {
         let mut ps = stats(&[true, false, false, true]);
         let mut index = PoolIndex::build(&ps);
         ps[2].awareness = 0.25; // first visit: leaves the pool
-        index.repair(&ps, &[2]);
+        repair(&mut index, &ps, &[2]);
         assert_eq!(index.members(), &[1]);
         assert!(index.is_consistent(&ps));
     }
@@ -281,20 +251,8 @@ mod tests {
         assert!(index.is_empty());
         ps[1].awareness = 0.0; // retirement: fresh zero-awareness page
         ps[1].popularity = 0.0;
-        index.repair(&ps, &[1]);
+        repair(&mut index, &ps, &[1]);
         assert_eq!(index.members(), &[1]);
-        assert!(index.is_consistent(&ps));
-    }
-
-    #[test]
-    fn repair_handles_duplicates_and_unchanged_slots() {
-        let mut ps = stats(&[false, true, false, true]);
-        let mut index = PoolIndex::build(&ps);
-        ps[0].awareness = 0.5; // first visit: leaves the pool
-        ps[3].awareness = 0.0; // retirement: joins the pool
-        index.repair(&ps, &[0, 0, 3, 0, 3, 1]); // slot 1 is dirty but unchanged
-        assert_eq!(index.members(), &[2, 3]);
-        assert_eq!(index.members(), fresh_members(&ps).as_slice());
         assert!(index.is_consistent(&ps));
     }
 
@@ -302,7 +260,7 @@ mod tests {
     fn repair_with_no_dirty_slots_is_a_no_op() {
         let ps = stats(&[false, true, false]);
         let mut index = PoolIndex::build(&ps);
-        index.repair(&ps, &[]);
+        repair(&mut index, &ps, &[]);
         assert_eq!(index.members(), &[0, 2]);
     }
 
@@ -315,7 +273,7 @@ mod tests {
             p.page = PageId::new(p.slot as u64);
             p
         }));
-        index.repair(&ps, &[2, 3]);
+        repair(&mut index, &ps, &[2, 3]);
         assert_eq!(index.members(), &[0, 3]);
         assert!(index.is_consistent(&ps));
         assert_eq!(index.indexed_slots(), 4);
@@ -325,7 +283,7 @@ mod tests {
     fn repair_grows_an_empty_index_from_all_dirty_slots() {
         let ps = stats(&[false, true, false, false]);
         let mut index = PoolIndex::default();
-        index.repair(&ps, &[0, 1, 2, 3]);
+        repair(&mut index, &ps, &[0, 1, 2, 3]);
         assert_eq!(index.members(), &[0, 2, 3]);
         assert!(index.is_consistent(&ps));
     }
@@ -344,7 +302,7 @@ mod tests {
             ps[slot].awareness = 0.0;
             ps[slot].popularity = 0.0;
         }
-        index.repair(&ps, &[6, 0, 4]);
+        repair(&mut index, &ps, &[6, 0, 4]);
         assert_eq!(index.members(), &[0, 1, 4, 5, 6, 9]);
         assert!(index.is_consistent(&ps));
     }
@@ -371,6 +329,6 @@ mod tests {
         let mut ps = stats(&[false, true]);
         let mut index = PoolIndex::build(&ps);
         ps[0].awareness = 0.5; // mutated, but never marked dirty
-        index.repair(&ps, &[]);
+        repair(&mut index, &ps, &[]);
     }
 }

@@ -7,7 +7,7 @@
 //! received a visit, changed their score, or were inserted.
 //! [`PopularityIndex`] keeps the previous order and *repairs* it: dirty
 //! slots are pulled out and reinserted at the position a binary search
-//! against [`popularity_order`](crate::popularity_order) dictates.
+//! against [`popularity_order`] dictates.
 //!
 //! Why repair is sound: the comparator is a **total** order (popularity
 //! descending, then age descending, then slot ascending), so there is
@@ -36,9 +36,6 @@ pub struct PopularityIndex {
     /// Scratch: merge target swapped with `order` during a repair.
     #[serde(skip)]
     merged: Vec<usize>,
-    /// Scratch: per-slot "is dirty" mask during a repair.
-    #[serde(skip)]
-    removed: Vec<bool>,
     /// Scratch: insertion position of each dirty slot during a repair.
     #[serde(skip)]
     positions: Vec<usize>,
@@ -62,8 +59,6 @@ impl PopularityIndex {
         self.order.extend(0..stats.len());
         self.order
             .sort_unstable_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
-        self.removed.clear();
-        self.removed.resize(stats.len(), false);
     }
 
     /// The slots in popularity order (best rank first).
@@ -85,35 +80,27 @@ impl PopularityIndex {
     }
 
     /// Restore sortedness after the slots in `dirty` changed their keys,
-    /// comparing against the *current* `stats`. `dirty` is drained; slots
-    /// may appear in it multiple times and in any order. The population may
-    /// have grown since the last repair (`stats.len() > self.len()`), in
-    /// which case every new slot must appear in `dirty`. Allocation-free
-    /// once the scratch buffers have grown to `n`.
+    /// comparing against the *current* `stats`. `dirty` lists each changed
+    /// slot once, in any order (it is left sorted by the new keys), and
+    /// `is_dirty` is its per-slot membership mask over all of `stats` — the
+    /// owning [`CorpusCache`](crate::CorpusCache)'s entry-time dedup. The
+    /// population may have grown since the last repair
+    /// (`stats.len() > self.len()`), in which case every new slot must be
+    /// dirty. Allocation-free once the scratch buffers have grown to `n`.
     ///
-    /// Cost: `O(n + d log n)` for `d` dirty slots — two linear passes plus
-    /// one binary search per dirty slot — versus `O(n log n)` comparisons
-    /// for a from-scratch sort.
-    pub fn repair(&mut self, stats: &[PageStats], dirty: &mut Vec<usize>) {
+    /// Cost: `O(n + d log n)` for `d` dirty slots — the pass pulling the
+    /// dirty slots out of the order and the merge pass, plus one binary
+    /// search per dirty slot — versus `O(n log n)` comparisons for a
+    /// from-scratch sort. The dedup mask is the cache's, reset in `O(d)`,
+    /// so no per-slot scratch is re-zeroed here.
+    pub(crate) fn repair(&mut self, stats: &[PageStats], dirty: &mut [usize], is_dirty: &[bool]) {
         debug_assert!(
             stats.len() >= self.order.len(),
             "the population never shrinks"
         );
-        if dirty.is_empty() {
-            debug_assert!(self.is_consistent(stats));
-            return;
-        }
-
-        // Deduplicate via the mask (a slot visited twice is one repair).
-        self.removed.clear();
-        self.removed.resize(stats.len(), false);
-        dirty.retain(|&slot| {
-            let fresh = !self.removed[slot];
-            self.removed[slot] = true;
-            fresh
-        });
+        debug_assert_eq!(is_dirty.len(), stats.len());
         debug_assert!(
-            (self.order.len()..stats.len()).all(|slot| self.removed[slot]),
+            (self.order.len()..stats.len()).all(|slot| is_dirty[slot]),
             "every slot inserted since the last repair must be dirty"
         );
 
@@ -121,7 +108,7 @@ impl PopularityIndex {
         // (Newly inserted slots are not in `order` yet; for them this pass
         // is a no-op and the reinsertion below places them for the first
         // time.)
-        self.order.retain(|&slot| !self.removed[slot]);
+        self.order.retain(|&slot| !is_dirty[slot]);
 
         // Reinsert: sort the dirty slots by the shared total order, find
         // each one's position in the clean list by binary search, and
@@ -150,8 +137,6 @@ impl PopularityIndex {
         }
         self.merged.extend_from_slice(&dirty[next_dirty..]);
         std::mem::swap(&mut self.order, &mut self.merged);
-
-        dirty.clear();
         debug_assert!(self.is_consistent(stats));
     }
 
@@ -171,6 +156,15 @@ impl PopularityIndex {
 mod tests {
     use super::*;
     use rrp_model::PageId;
+
+    /// Repair `index` after the distinct slots in `dirty` changed.
+    fn repair(index: &mut PopularityIndex, ps: &[PageStats], dirty: &[usize]) {
+        let mut is_dirty = vec![false; ps.len()];
+        for &slot in dirty {
+            is_dirty[slot] = true;
+        }
+        index.repair(ps, &mut dirty.to_vec(), &is_dirty);
+    }
 
     fn stats(keys: &[(f64, u64)]) -> Vec<PageStats> {
         keys.iter()
@@ -196,23 +190,8 @@ mod tests {
         let mut ps = stats(&[(0.9, 0), (0.7, 0), (0.5, 0), (0.3, 0), (0.1, 0)]);
         let mut index = PopularityIndex::build(&ps);
         ps[4].popularity = 0.8; // slot 4 jumps to second place
-        let mut dirty = vec![4];
-        index.repair(&ps, &mut dirty);
+        repair(&mut index, &ps, &[4]);
         assert_eq!(index.order(), &[0, 4, 1, 2, 3]);
-        assert!(dirty.is_empty(), "repair drains the dirty list");
-    }
-
-    #[test]
-    fn repair_handles_duplicates_and_multiple_slots() {
-        let mut ps = stats(&[(0.9, 5), (0.7, 5), (0.5, 5), (0.3, 5), (0.1, 5)]);
-        let mut index = PopularityIndex::build(&ps);
-        ps[0].popularity = 0.0; // the leader collapses (a retirement)
-        ps[0].age_days = 0;
-        ps[3].popularity = 0.95; // a challenger overtakes everyone
-        let mut dirty = vec![3, 0, 3, 0, 0];
-        index.repair(&ps, &mut dirty);
-        assert!(index.is_consistent(&ps));
-        assert_eq!(index.order(), &[3, 1, 2, 4, 0]);
     }
 
     #[test]
@@ -220,7 +199,7 @@ mod tests {
         let ps = stats(&[(0.2, 1), (0.8, 1)]);
         let mut index = PopularityIndex::build(&ps);
         let before = index.order().to_vec();
-        index.repair(&ps, &mut Vec::new());
+        repair(&mut index, &ps, &[]);
         assert_eq!(index.order(), before.as_slice());
     }
 
@@ -234,7 +213,7 @@ mod tests {
             p.age_days += 1;
         }
         assert!(index.is_consistent(&ps));
-        index.repair(&ps, &mut Vec::new());
+        repair(&mut index, &ps, &[]);
         assert!(index.is_consistent(&ps));
     }
 
@@ -264,8 +243,7 @@ mod tests {
                     p
                 }),
         );
-        let mut dirty = vec![3, 4, 5];
-        index.repair(&ps, &mut dirty);
+        repair(&mut index, &ps, &[3, 4, 5]);
         assert!(index.is_consistent(&ps));
         assert_eq!(index.order(), &[5, 0, 3, 2, 1, 4]);
     }
@@ -276,8 +254,7 @@ mod tests {
         // sees every slot dirty against an empty order.
         let ps = stats(&[(0.3, 1), (0.7, 1), (0.1, 1), (0.7, 4)]);
         let mut index = PopularityIndex::default();
-        let mut dirty = vec![0, 1, 2, 3];
-        index.repair(&ps, &mut dirty);
+        repair(&mut index, &ps, &[0, 1, 2, 3]);
         assert!(index.is_consistent(&ps));
         assert_eq!(index.order(), &[3, 1, 0, 2]);
     }
@@ -291,8 +268,7 @@ mod tests {
         extra[0].slot = 3;
         extra[0].page = PageId::new(3);
         ps.extend(extra);
-        let mut dirty = vec![1, 3, 1];
-        index.repair(&ps, &mut dirty);
+        repair(&mut index, &ps, &[1, 3]);
         assert!(index.is_consistent(&ps));
         assert_eq!(index.order(), &[1, 0, 3, 2]);
     }

@@ -8,8 +8,9 @@
 //! adaptor constructor:
 //!
 //! * [`pooled`](RankSource::pooled) — a corpus-wide stats snapshot, its
-//!   maintained popularity order and a [`PoolIndex`] (the simulator's day
-//!   loop, a [`CorpusCache`](../../rrp_core/struct.CorpusCache.html));
+//!   maintained popularity order and a [`PoolIndex`], as a
+//!   [`CorpusCache`](crate::CorpusCache) holds them (the simulator's day
+//!   loop, each serving shard);
 //! * [`merged`](RankSource::merged) — the complete global popularity
 //!   order reassembled from shard-local orders plus the maintained global
 //!   pool and its membership mask (a sharded serving tier's full-order
@@ -46,8 +47,7 @@ impl<'a> RankSource<'a> {
     /// A corpus-wide view: the stats snapshot, its popularity order, and
     /// the maintained pool. Requires dense slots (`pages[i].slot == i`) and
     /// `order` sorted by [`popularity_order`] (checked by debug
-    /// assertions). The pool is read only by the Selective rule, so owners
-    /// whose policy never reads it may pass an unmaintained (empty) index.
+    /// assertions). The pool is read only by the Selective rule.
     pub fn pooled(pages: &'a [PageStats], order: &'a [usize], pool: &'a PoolIndex) -> Self {
         debug_assert!(pages.iter().enumerate().all(|(i, p)| p.slot == i));
         debug_assert_eq!(order.len(), pages.len());

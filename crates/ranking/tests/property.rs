@@ -7,9 +7,9 @@
 use proptest::prelude::*;
 use rrp_model::{new_rng, PageId};
 use rrp_ranking::{
-    is_permutation, merge_promoted, merge_shard_candidates_into, popularity_order, EngineVersion,
-    FullyRandomRanking, MergedCandidates, PageStats, PolicyKind, PoolIndex, PopularityIndex,
-    PopularityRanking, PromotionConfig, PromotionRule, QualityOracleRanking,
+    is_permutation, merge_promoted, merge_shard_candidates_into, popularity_order, CorpusCache,
+    EngineVersion, FullyRandomRanking, MergedCandidates, PageStats, PolicyKind, PoolIndex,
+    PopularityIndex, PopularityRanking, PromotionConfig, PromotionRule, QualityOracleRanking,
     RandomizedRankPromotion, RankBuffers, RankSource, RankingPolicy, ShardCandidates,
 };
 
@@ -63,6 +63,24 @@ fn arb_pages() -> impl Strategy<Value = Vec<PageStats>> {
             })
             .collect()
     })
+}
+
+/// Whether `cache` equals a from-scratch [`CorpusCache::rebuild`] of
+/// `stats`: stats, popularity order, pool members and pool mask.
+fn assert_cache_matches_rebuild(
+    cache: &CorpusCache,
+    stats: &[PageStats],
+) -> Result<(), TestCaseError> {
+    let mut fresh = CorpusCache::new();
+    fresh.rebuild(stats.iter().copied());
+    prop_assert_eq!(cache.stats(), fresh.stats());
+    prop_assert_eq!(cache.order(), fresh.order());
+    prop_assert_eq!(cache.pool().members(), fresh.pool().members());
+    prop_assert_eq!(cache.pool().indexed_slots(), stats.len());
+    for slot in 0..stats.len() {
+        prop_assert_eq!(cache.pool().contains(slot), fresh.pool().contains(slot));
+    }
+    Ok(())
 }
 
 proptest! {
@@ -242,64 +260,61 @@ proptest! {
         }
     }
 
-    /// The persistent pool index under arbitrary dirty sequences — visits
-    /// flipping awareness on, retirements flipping it back off, inserts
-    /// growing the population past its initial capacity, redundant dirty
-    /// marks on unchanged slots — with repairs interleaved at arbitrary
-    /// points: the incrementally repaired membership always equals a
-    /// from-scratch rebuild of the current stats (the mirror of the
-    /// `PopularityIndex` ≡ sort property in `rrp-sim`).
+    /// The incremental cache under arbitrary interleavings of `push` and
+    /// `patch` — visits flipping a page out of the pool and raising its
+    /// popularity, retirements resetting a page into the pool, score
+    /// updates moving it in the order, inserts growing the corpus past its
+    /// initial size, the same slot patched repeatedly between repairs,
+    /// and patches that change nothing — with `repair` at arbitrary
+    /// points: after every repair, stats, popularity order, pool members
+    /// and pool mask equal a from-scratch `rebuild` of the same stats.
     #[test]
-    fn pool_index_repair_equals_rebuild_under_arbitrary_dirty_sequences(
-        initial in 1usize..40,
-        events in prop::collection::vec((0usize..4, 0usize..80), 0..120),
-        repair_every in 1usize..8,
+    fn cache_repair_equals_rebuild_under_arbitrary_push_patch_interleavings(
+        initial in 0usize..30,
+        events in prop::collection::vec((0usize..5, 0usize..64, 0.0f64..1.0, prop::bool::ANY), 0..150),
     ) {
-        let page = |slot: usize, explored: bool| {
-            let awareness = if explored { 0.5 } else { 0.0 };
-            PageStats::new(slot, PageId::new(slot as u64), awareness, awareness)
+        let page = |slot: usize, popularity: f64, awareness: f64, age: u64| {
+            PageStats::new(slot, PageId::new(slot as u64), popularity, awareness).with_age(age)
         };
-        let mut stats: Vec<PageStats> =
-            (0..initial).map(|slot| page(slot, slot % 2 == 0)).collect();
-        let mut index = PoolIndex::build(&stats);
-        let mut dirty: Vec<usize> = Vec::new();
+        let mut stats: Vec<PageStats> = (0..initial)
+            .map(|slot| page(slot, 0.0, 0.0, slot as u64 % 5))
+            .collect();
+        let mut cache = CorpusCache::new();
+        cache.rebuild(stats.iter().copied());
 
-        for (step, &(kind, raw_slot)) in events.iter().enumerate() {
-            let slot = raw_slot % stats.len();
-            match kind {
-                // A first visit: the page leaves the pool.
-                0 => {
-                    stats[slot].awareness = 0.5;
-                    dirty.push(slot);
+        for &(kind, raw_slot, x, repair_after) in &events {
+            if stats.is_empty() || kind == 0 {
+                // An insert, explored or not.
+                let slot = stats.len();
+                let awareness = if raw_slot % 3 == 0 { 0.0 } else { x };
+                stats.push(page(slot, awareness * 0.5, awareness, raw_slot as u64 % 4));
+                cache.push(stats[slot]);
+            } else {
+                let slot = raw_slot % stats.len();
+                match kind {
+                    // A first (or further) visit: out of the pool, up in
+                    // the order.
+                    1 => {
+                        stats[slot].awareness = (stats[slot].awareness + 0.25).min(1.0);
+                        stats[slot].popularity = (stats[slot].popularity + x * 0.1).min(1.0);
+                    }
+                    // A retirement: a fresh zero-awareness page re-enters.
+                    2 => stats[slot] = page(slot, 0.0, 0.0, 0),
+                    // A score update: the order moves, membership does not.
+                    3 => stats[slot].popularity = x,
+                    // A patch that changes nothing.
+                    _ => {}
                 }
-                // A retirement: a fresh zero-awareness page re-enters.
-                1 => {
-                    stats[slot].awareness = 0.0;
-                    stats[slot].popularity = 0.0;
-                    dirty.push(slot);
-                }
-                // An insert: the population grows (beyond the initial
-                // capacity once enough events accumulate).
-                2 => {
-                    let new_slot = stats.len();
-                    stats.push(page(new_slot, raw_slot % 3 == 0));
-                    dirty.push(new_slot);
-                }
-                // A redundant dirty mark: the slot did not change.
-                _ => dirty.push(slot),
+                cache.patch(slot, stats[slot]);
             }
-            if step % repair_every == 0 {
-                index.repair(&stats, &dirty);
-                dirty.clear();
-                prop_assert!(index.is_consistent(&stats));
+            if repair_after {
+                cache.repair();
+                prop_assert_eq!(cache.dirty_len(), 0);
+                assert_cache_matches_rebuild(&cache, &stats)?;
             }
         }
-        index.repair(&stats, &dirty);
-
-        let rebuilt = PoolIndex::build(&stats);
-        prop_assert_eq!(index.members(), rebuilt.members());
-        prop_assert!(index.is_consistent(&stats));
-        prop_assert_eq!(index.len(), rebuilt.len());
+        cache.repair();
+        assert_cache_matches_rebuild(&cache, &stats)?;
     }
 
     /// Callers holding only `pages` and a popularity order build the pool

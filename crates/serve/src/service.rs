@@ -27,26 +27,13 @@ pub struct ServeStats {
     /// [`ShardedPromotionService::rebuild_from_store`]. The shard caches
     /// are maintained in place on every mutation, so no query or mutation
     /// path ever triggers one; tests pin this at 0 to catch a future
-    /// change that routes serving back through a rebuild.
+    /// change that routes serving back through a rebuild. Each rebuild
+    /// re-sorts every popularity order and re-scans every pool from
+    /// scratch; the query paths only ever repair.
     pub snapshot_rebuilds: u64,
-    /// From-scratch `O(n log n)` sorts of the popularity orders — likewise
-    /// incremented only by the explicit rebuild path; the query paths
-    /// only ever repair.
-    pub full_sorts: u64,
     /// Dirty slots handed to the shard-tier repairs (distinct slots per
     /// shard: the dirty lists deduplicate on entry).
     pub dirty_slots_repaired: u64,
-    /// Full-corpus promotion-pool derivations (`O(n)` scan over every
-    /// document) — incremented only by
-    /// [`ShardedPromotionService::rebuild_from_store`]. The pool
-    /// membership persists in each shard cache's `PoolIndex` and is
-    /// repaired alongside the popularity orders, so no query or mutation
-    /// path ever re-derives it; tests pin this at 0.
-    pub pool_rebuilds: u64,
-    /// Incremental repairs of the pool membership (runs with every
-    /// shard-tier repair, from the same dirty slots — counted only while
-    /// pools are maintained, i.e. for selective engines).
-    pub pool_repairs: u64,
     /// Per-query membership-mask resets reported by the ranking arenas —
     /// each one marks an `O(n)` pool scan inside a query. The pooled
     /// selective path performs none (tests pin 0 for selective engines);
@@ -60,7 +47,9 @@ pub struct ServeStats {
     pub shard_retrievals: u64,
     /// Repair events on the per-shard caches: one per version publication
     /// that found at least one dirty slot. Every query path runs through
-    /// this single repair site — there is no other tier to keep current.
+    /// this single repair site — there is no other tier to keep current —
+    /// and each repair brings the popularity orders and the promotion
+    /// pools current together.
     pub shard_repairs: u64,
     /// Swap draws consumed by the v2 engines' lazy pool shuffle (one per
     /// promoted slot actually taken, except the pool's last remaining
@@ -115,10 +104,7 @@ struct ProbeCells {
     batches: AtomicU64,
     queries: AtomicU64,
     snapshot_rebuilds: AtomicU64,
-    full_sorts: AtomicU64,
     dirty_slots_repaired: AtomicU64,
-    pool_rebuilds: AtomicU64,
-    pool_repairs: AtomicU64,
     mask_resets: AtomicU64,
     shard_retrievals: AtomicU64,
     shard_repairs: AtomicU64,
@@ -138,10 +124,7 @@ impl ProbeCells {
             batches: self.batches.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
             snapshot_rebuilds: self.snapshot_rebuilds.load(Ordering::Relaxed),
-            full_sorts: self.full_sorts.load(Ordering::Relaxed),
             dirty_slots_repaired: self.dirty_slots_repaired.load(Ordering::Relaxed),
-            pool_rebuilds: self.pool_rebuilds.load(Ordering::Relaxed),
-            pool_repairs: self.pool_repairs.load(Ordering::Relaxed),
             mask_resets: self.mask_resets.load(Ordering::Relaxed),
             shard_retrievals: self.shard_retrievals.load(Ordering::Relaxed),
             shard_repairs: self.shard_repairs.load(Ordering::Relaxed),
@@ -268,11 +251,7 @@ impl ShardedPromotionService {
     /// answering batches with up to [`available_workers`] threads.
     pub fn new(engine: RankPromotionEngine, shard_count: usize) -> Self {
         let store = ShardedStore::new(shard_count);
-        let mut shards = ShardedCorpusCache::new(store.shard_count());
-        // Pool maintenance is dead weight for engines that re-derive
-        // their pool per query (the Uniform rule's coin scan draws one
-        // coin per page instead of reading any membership index).
-        shards.set_pool_maintained(engine.reads_pool_index());
+        let shards = ShardedCorpusCache::new(store.shard_count());
         Self::from_parts(engine, store, shards)
     }
 
@@ -305,10 +284,7 @@ impl ShardedPromotionService {
         // empty sentinel version, so the first query publishes instead of
         // serving the sentinel; an empty corpus is exactly the sentinel.
         let epoch = if store.is_empty() { 0 } else { 1 };
-        let published = Arc::new(PublishedVersion::empty(
-            store.shard_count(),
-            shards.pool_maintained(),
-        ));
+        let published = Arc::new(PublishedVersion::empty(store.shard_count()));
         ShardedPromotionService {
             engine,
             workers: available_workers(),
@@ -487,10 +463,6 @@ impl ShardedPromotionService {
     pub fn rebuild_from_store(&self) {
         let mut writer = self.writer.lock().expect("writer lock");
         ProbeCells::add(&self.probe.snapshot_rebuilds, 1);
-        ProbeCells::add(&self.probe.full_sorts, 1);
-        if writer.shards.pool_maintained() {
-            ProbeCells::add(&self.probe.pool_rebuilds, 1);
-        }
         let WriterState {
             store,
             shards,
@@ -546,9 +518,6 @@ impl ShardedPromotionService {
         let (version, charged) = shards.publish(epoch);
         if charged > 0 {
             ProbeCells::add(&self.probe.shard_repairs, 1);
-            if shards.pool_maintained() {
-                ProbeCells::add(&self.probe.pool_repairs, 1);
-            }
             ProbeCells::add(&self.probe.dirty_slots_repaired, charged);
         }
         ProbeCells::add(&self.probe.version_publications, 1);
@@ -585,9 +554,9 @@ impl ShardedPromotionService {
     /// ascending canonical-sequence order, read off the current published
     /// version (publishing first if the corpus mutated). Exposed for
     /// introspection and for the property suite that pins the incremental
-    /// pool against a from-scratch recomputation. Empty for engines that
-    /// never read the pool index (the Uniform rule) — their pool is
-    /// re-drawn per query and no index is maintained.
+    /// pool against a from-scratch recomputation. Maintained under every
+    /// engine, including the Uniform rule, whose ranking re-draws its pool
+    /// per query and never reads this one.
     pub fn pooled_slots(&self) -> Vec<usize> {
         self.current_version().pool_slots().to_vec()
     }
@@ -1153,9 +1122,6 @@ mod tests {
             "clean batches must not publish"
         );
         assert_eq!(steady.snapshot_rebuilds, 0);
-        assert_eq!(steady.full_sorts, 0);
-        assert_eq!(steady.pool_rebuilds, 0);
-        assert_eq!(steady.pool_repairs, 1);
         assert_eq!(steady.mask_resets, 0, "no query may scan the corpus");
         assert_eq!(steady.batches, 3);
         assert_eq!(steady.queries, 48);
@@ -1173,9 +1139,6 @@ mod tests {
         assert_eq!(mutated.order_merges, 2);
         assert_eq!(mutated.version_publications, 2);
         assert_eq!(mutated.snapshot_rebuilds, 0);
-        assert_eq!(mutated.full_sorts, 0);
-        assert_eq!(mutated.pool_rebuilds, 0);
-        assert_eq!(mutated.pool_repairs, 2);
         assert_eq!(mutated.mask_resets, 0);
         assert_eq!(mutated.epoch_conflicts, 0);
     }
@@ -1201,7 +1164,7 @@ mod tests {
         service.rerank_batch_top_k_into(&qs, 10, &mut results);
         let after = service.serve_stats();
         assert_eq!(after.mask_resets, before.mask_resets);
-        assert_eq!(after.pool_rebuilds, 0);
+        assert_eq!(after.snapshot_rebuilds, 0);
         assert_eq!(after.shard_repairs, before.shard_repairs);
         assert_eq!(after.order_merges, before.order_merges);
         assert_eq!(after.version_publications, before.version_publications);
@@ -1235,7 +1198,6 @@ mod tests {
         assert_eq!(stats.order_merges, 0, "no complete-order merge on top-k");
         assert_eq!(stats.shard_retrievals, shards * (16 + 16 + 16));
         assert_eq!(stats.snapshot_rebuilds, 0);
-        assert_eq!(stats.full_sorts, 0);
         assert_eq!(stats.mask_resets, 0);
         // Two publications repaired dirt: the warm-up (300 inserted
         // slots) and the two mutations — there is only one tier, so the
@@ -1300,7 +1262,7 @@ mod tests {
         let stats = service.serve_stats();
         assert_eq!(
             stats.shard_retrievals, 0,
-            "no retrieval path without a maintained pool"
+            "the Uniform rule never ranks from retrieved candidates"
         );
         assert_eq!(stats.shard_repairs, 1, "one warm-up repair");
         assert_eq!(stats.order_merges, 1, "one merge serves the clean stretch");
@@ -1323,12 +1285,10 @@ mod tests {
         service.rerank_top_k(qs[0], 5);
         let stats = service.serve_stats();
         assert_eq!(stats.mask_resets, 9, "one per query, none avoidable");
-        assert_eq!(stats.pool_rebuilds, 0);
-        assert_eq!(
-            stats.pool_repairs, 0,
-            "no pool index is maintained for an engine that never reads one"
-        );
-        assert!(service.pooled_slots().is_empty());
+        // The shard caches keep their pools anyway: the pool is one more
+        // index over the same dirty slots, never read by this engine.
+        let unexplored: Vec<usize> = (0..100).step_by(10).collect();
+        assert_eq!(service.pooled_slots(), unexplored);
     }
 
     #[test]
@@ -1342,7 +1302,7 @@ mod tests {
         service.insert(Document::unexplored(777));
         let expected = vec![0usize, 20, 30, 40, 50];
         assert_eq!(service.pooled_slots(), expected.as_slice());
-        assert_eq!(service.serve_stats().pool_rebuilds, 0);
+        assert_eq!(service.serve_stats().snapshot_rebuilds, 0);
     }
 
     #[test]
@@ -1355,8 +1315,6 @@ mod tests {
 
         service.rebuild_from_store();
         assert_eq!(service.serve_stats().snapshot_rebuilds, 1);
-        assert_eq!(service.serve_stats().full_sorts, 1);
-        assert_eq!(service.serve_stats().pool_rebuilds, 1);
         assert_eq!(
             service.rerank_batch(&qs),
             incremental,
@@ -1406,7 +1364,6 @@ mod tests {
         fresh.extend(service.store().snapshot());
         assert_eq!(incremental, fresh.rerank_batch(&qs));
         assert_eq!(service.serve_stats().snapshot_rebuilds, 0);
-        assert_eq!(service.serve_stats().full_sorts, 0);
     }
 
     #[test]

@@ -106,13 +106,11 @@ proptest! {
         }
 
         // The steady-state probe: nothing in this schedule may have caused
-        // a snapshot rebuild, a from-scratch sort, a pool rebuild, or a
+        // a snapshot rebuild (with its from-scratch sorts and pool scans) or a
         // single per-query pool scan (the engine is selective) — and no
         // top-k batch may have materialised a global ranking: every one
         // was answered from shard-local candidate retrieval.
         prop_assert_eq!(service.serve_stats().snapshot_rebuilds, 0);
-        prop_assert_eq!(service.serve_stats().full_sorts, 0);
-        prop_assert_eq!(service.serve_stats().pool_rebuilds, 0);
         prop_assert_eq!(service.serve_stats().mask_resets, 0);
     }
 }

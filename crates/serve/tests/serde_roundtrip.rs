@@ -39,19 +39,33 @@ fn corpus(n: usize) -> Vec<Document> {
         .collect()
 }
 
-/// Probe-level equality for two sharded caches (beyond `Value` equality):
-/// every serving-path accessor answers the same.
+/// Probe-level equality for a round-tripped cache `got` and its original
+/// (beyond `Value` equality): the same shape and backlog, and a
+/// publication of each answers every serving-path accessor the same.
 fn assert_same_cache(got: &mut ShardedCorpusCache, expected: &mut ShardedCorpusCache) {
     assert_eq!(got.shard_count(), expected.shard_count());
     assert_eq!(got.len(), expected.len());
     assert_eq!(got.dirty_len(), expected.dirty_len());
-    assert_eq!(got.pool_maintained(), expected.pool_maintained());
-    assert_eq!(got.pool_slots(), expected.pool_slots());
+    // A deserialized cache has no publication diff log, so its first
+    // publication charges exactly the repair it runs.
+    let backlog = got.dirty_len() as u64;
+    let (got_version, got_charged) = got.publish(1);
+    let (expected_version, _) = expected.publish(1);
+    assert_eq!(got_charged, backlog);
+    assert_eq!(got_version.pool_slots(), expected_version.pool_slots());
     for slot in 0..expected.len() {
-        assert_eq!(got.page_of(slot), expected.page_of(slot), "page at {slot}");
-        assert_eq!(got.in_pool(slot), expected.in_pool(slot), "pool at {slot}");
-        let g = got.stat_of(slot);
-        let e = expected.stat_of(slot);
+        assert_eq!(
+            got_version.page_of(slot),
+            expected_version.page_of(slot),
+            "page at {slot}"
+        );
+        assert_eq!(
+            got_version.in_pool(slot),
+            expected_version.in_pool(slot),
+            "pool at {slot}"
+        );
+        let g = got_version.stat_of(slot);
+        let e = expected_version.stat_of(slot);
         assert_eq!(g.slot, e.slot);
         assert_eq!(
             g.popularity.to_bits(),
@@ -59,18 +73,9 @@ fn assert_same_cache(got: &mut ShardedCorpusCache, expected: &mut ShardedCorpusC
             "popularity bits at {slot}"
         );
     }
-    // The merged order lives on a published version now; publication
-    // also repairs, so only compare from an already-clean cache to keep
-    // the dirty-length probes above meaningful.
-    if expected.dirty_len() == 0 {
-        let (got_version, got_charged) = got.publish(1);
-        let (expected_version, expected_charged) = expected.publish(1);
-        assert_eq!(got_charged, expected_charged);
-        let (got_order, _) = got_version.ensure_merged_order();
-        let (expected_order, _) = expected_version.ensure_merged_order();
-        assert_eq!(got_order, expected_order);
-        assert_eq!(got_version.merged_order(), expected_version.merged_order());
-    }
+    let (got_order, _) = got_version.ensure_merged_order();
+    let (expected_order, _) = expected_version.ensure_merged_order();
+    assert_eq!(got_order, expected_order);
 }
 
 #[test]
@@ -84,12 +89,15 @@ fn an_empty_cache_roundtrips() {
 }
 
 #[test]
-fn a_populated_repaired_cache_roundtrips_with_pool_on_and_off() {
-    for maintained in [true, false] {
+fn a_populated_repaired_cache_roundtrips_with_and_without_pool_members() {
+    let explored: Vec<Document> = corpus(25)
+        .into_iter()
+        .map(|d| Document::established(d.id, d.popularity).with_age(d.age_days))
+        .collect();
+    for docs in [corpus(25), explored] {
         for shards in [1usize, 3, 8] {
             let mut cache = ShardedCorpusCache::new(shards);
-            cache.set_pool_maintained(maintained);
-            for (i, doc) in corpus(25).iter().enumerate() {
+            for (i, doc) in docs.iter().enumerate() {
                 cache.push(i % shards, doc);
             }
             cache.repair();
@@ -105,7 +113,6 @@ fn a_mid_dirty_cache_roundtrips_and_repairs_identically() {
     // Dirty state (patched but not yet repaired) is part of the snapshot:
     // a crash between mutation and repair must not lose the patch.
     let mut cache = ShardedCorpusCache::new(2);
-    cache.set_pool_maintained(true);
     for (i, doc) in corpus(12).iter().enumerate() {
         cache.push(i % 2, doc);
     }
@@ -192,11 +199,9 @@ proptest! {
         docs in prop::collection::vec((0u64..1_000, 0.0f64..1.5, 0u64..200), 1..40),
         patches in prop::collection::vec((0usize..40, 0.0f64..1.5), 0..10),
         shards in 1usize..6,
-        maintained in prop::bool::ANY,
         repair_before_patch in prop::bool::ANY,
     ) {
         let mut cache = ShardedCorpusCache::new(shards);
-        cache.set_pool_maintained(maintained);
         for (i, &(id, popularity, age)) in docs.iter().enumerate() {
             let doc = if popularity < 0.05 {
                 Document::unexplored(id)

@@ -10,6 +10,7 @@ use rand::Rng;
 use rrp_model::{
     CommunityConfig, Day, LifetimeModel, PageId, PageIdGenerator, Quality, QualityDistribution,
 };
+use rrp_ranking::{CorpusCache, PageStats};
 use serde::{Deserialize, Serialize};
 
 /// One page slot: the live page currently occupying it.
@@ -125,6 +126,30 @@ impl PagePopulation {
         &self.slots[index]
     }
 
+    /// The ranking layer's [`PageStats`] entry for `slot`.
+    ///
+    /// `age_days` holds an *order-equivalent seniority surrogate*,
+    /// `u64::MAX − birthday`, not the literal age: ranking only ever
+    /// consumes age through the older-first tie-break of
+    /// [`popularity_order`](rrp_ranking::popularity_order), and since every
+    /// surviving page ages uniformly, "born earlier" and "older today"
+    /// order pages identically — the surrogate yields bit-identical
+    /// rankings while an entry stays exact until its slot changes, so a
+    /// cached snapshot never needs a daily `O(n)` re-aging pass. (Code
+    /// that needs literal ages reads [`PageSlot::age_days`].)
+    pub fn page_stats(&self, slot: usize) -> PageStats {
+        let m = self.monitored_users;
+        let s = &self.slots[slot];
+        PageStats {
+            slot,
+            page: s.page,
+            popularity: s.popularity(m),
+            awareness: s.awareness(m),
+            age_days: u64::MAX - s.born.since(Day::ZERO),
+            quality: s.quality,
+        }
+    }
+
     /// Number of monitored users `m`.
     #[inline]
     pub fn monitored_users(&self) -> usize {
@@ -192,30 +217,18 @@ impl PagePopulation {
 
     /// Apply one day of Poisson retirement: the number of retirements is
     /// drawn from the binomial `Bin(n, 1 − e^{−λ})` (approximated by a
-    /// Poisson/normal draw for large `n`), and that many distinct slots are
-    /// replaced. Slots listed in `protected` are exempt (used while probing
-    /// TBP so the probe page is not retired mid-measurement).
-    pub fn retire_daily<R: Rng + ?Sized>(
-        &mut self,
-        today: Day,
-        protected: &[usize],
-        rng: &mut R,
-    ) -> usize {
-        let mut replaced = Vec::new();
-        self.retire_daily_recording(today, protected, rng, &mut replaced);
-        replaced.len()
-    }
-
-    /// [`retire_daily`](Self::retire_daily), appending the index of every
-    /// replaced slot to `replaced` (not cleared) so callers maintaining an
-    /// incremental popularity index can mark exactly those slots dirty.
-    /// Consumes the same RNG draws as `retire_daily`.
+    /// Poisson/normal draw for large `n`), and that many slots are
+    /// replaced, each replacement patched into `cache` (see
+    /// [`page_stats`](Self::page_stats)) so exactly those slots are
+    /// repaired next. Slots listed in `protected` are exempt (used while
+    /// probing TBP so the probe page is not retired mid-measurement).
+    /// Returns the number of replacements.
     pub fn retire_daily_recording<R: Rng + ?Sized>(
         &mut self,
         today: Day,
         protected: &[usize],
         rng: &mut R,
-        replaced: &mut Vec<usize>,
+        cache: &mut CorpusCache,
     ) -> usize {
         let n = self.slots.len();
         let p = self.lifetime.daily_retirement_probability();
@@ -230,7 +243,7 @@ impl PagePopulation {
                 continue;
             }
             self.replace_page(slot, today);
-            replaced.push(slot);
+            cache.patch(slot, self.page_stats(slot));
             retired += 1;
         }
         retired
@@ -294,6 +307,12 @@ fn sample_standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 mod tests {
     use super::*;
     use rrp_model::{new_rng, CommunityConfig, PowerLawQuality};
+
+    fn cache_of(pop: &PagePopulation) -> CorpusCache {
+        let mut cache = CorpusCache::new();
+        cache.rebuild((0..pop.len()).map(|s| pop.page_stats(s)));
+        cache
+    }
 
     fn small_config() -> CommunityConfig {
         CommunityConfig::builder()
@@ -387,11 +406,12 @@ mod tests {
     fn daily_retirement_rate_matches_lifetime() {
         let config = small_config(); // 30-day lifetime, 100 pages
         let mut pop = PagePopulation::new(&config, &PowerLawQuality::paper_default());
+        let mut cache = cache_of(&pop);
         let mut rng = new_rng(3);
         let days = 3_000;
         let mut total = 0;
         for d in 0..days {
-            total += pop.retire_daily(Day::new(d), &[], &mut rng);
+            total += pop.retire_daily_recording(Day::new(d), &[], &mut rng, &mut cache);
         }
         let expected = days as f64 * 100.0 * (1.0 - (-1.0f64 / 30.0).exp());
         let observed = total as f64;
@@ -414,9 +434,10 @@ mod tests {
         let mut pop = PagePopulation::new(&config, &PowerLawQuality::paper_default());
         let protected = vec![pop.best_slot()];
         let original_id = pop.slot(protected[0]).page;
+        let mut cache = cache_of(&pop);
         let mut rng = new_rng(4);
         for d in 0..200 {
-            pop.retire_daily(Day::new(d), &protected, &mut rng);
+            pop.retire_daily_recording(Day::new(d), &protected, &mut rng, &mut cache);
         }
         assert_eq!(pop.slot(protected[0]).page, original_id);
         assert!(pop.retired_count() > 0, "other slots do retire");
@@ -445,22 +466,19 @@ mod tests {
     #[test]
     fn recording_retirement_reports_exactly_the_replaced_slots() {
         let config = small_config();
-        let mut rng_a = new_rng(12);
-        let mut rng_b = new_rng(12);
-        let mut pop_a = PagePopulation::new(&config, &PowerLawQuality::paper_default());
-        let mut pop_b = PagePopulation::new(&config, &PowerLawQuality::paper_default());
-        let mut replaced = Vec::new();
-        for d in 0..200 {
-            let count_a = pop_a.retire_daily(Day::new(d), &[], &mut rng_a);
-            replaced.clear();
-            let count_b = pop_b.retire_daily_recording(Day::new(d), &[], &mut rng_b, &mut replaced);
-            assert_eq!(count_a, count_b, "identical RNG stream on day {d}");
-            assert_eq!(replaced.len(), count_b);
-            for &slot in &replaced {
-                assert_eq!(pop_b.slot(slot).born, Day::new(d));
+        let mut rng = new_rng(12);
+        let mut pop = PagePopulation::new(&config, &PowerLawQuality::paper_default());
+        let mut cache = cache_of(&pop);
+        for d in 1..200 {
+            let retired = pop.retire_daily_recording(Day::new(d), &[], &mut rng, &mut cache);
+            let born_today = pop.slots().iter().filter(|s| s.born == Day::new(d)).count();
+            assert!(born_today <= retired, "day {d}");
+            assert_eq!(cache.dirty_len(), born_today, "day {d}");
+            cache.repair();
+            for slot in 0..pop.len() {
+                assert_eq!(cache.stats()[slot], pop.page_stats(slot), "day {d}");
             }
         }
-        assert_eq!(pop_a.retired_count(), pop_b.retired_count());
     }
 
     #[test]

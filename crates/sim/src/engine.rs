@@ -9,8 +9,9 @@
 //!
 //! Each simulated day:
 //!
-//! 1. the configured [`RankingPolicy`] produces the day's result list from
-//!    the pages' current popularity/awareness;
+//! 1. the configured [`RankingPolicy`](rrp_ranking::RankingPolicy)
+//!    produces the day's result list from the pages' current
+//!    popularity/awareness;
 //! 2. the day's *user* visits are spread over the list according to the
 //!    `rank^(-3/2)` attention law (plus the random-surfing component of
 //!    Section 8 when `surf_fraction > 0`), and the quality of every visited
@@ -27,7 +28,7 @@ use crate::metrics::{QpcAccumulator, SimMetrics};
 use rand::Rng;
 use rrp_attention::RankBias;
 use rrp_model::{new_rng, Day, ModelResult, Quality, Rng64, SimClock};
-use rrp_ranking::{PageStats, PolicyKind, PoolIndex, PopularityIndex, RankBuffers, RankSource};
+use rrp_ranking::{CorpusCache, PolicyKind, RankBuffers};
 
 /// The simulator.
 pub struct Simulation {
@@ -50,21 +51,12 @@ pub struct Simulation {
     measuring: bool,
     /// Slots exempt from retirement (active TBP probes).
     protected_slots: Vec<usize>,
-    /// Today's per-slot snapshot, patched in place each ranking (ages are
-    /// stored as a constant seniority surrogate — see `slot_stats`).
-    stats: Vec<PageStats>,
-    /// Popularity order of all slots, repaired incrementally: only slots
-    /// whose popularity key changed (a monitored visit that raised
-    /// awareness, or a retirement) are re-placed each day.
-    pop_index: PopularityIndex,
-    /// Promotion-pool membership (unexplored slots), repaired from the
-    /// same dirty slots: a monitored visit flips membership off exactly
-    /// when it dirties the slot, and a retirement flips it back on — so
-    /// the selective policy's per-day `O(n)` pool scan + mask reset is
-    /// replaced by reading this persistent index.
-    pool_index: PoolIndex,
-    /// Slots whose popularity key changed since the last index repair.
-    dirty_slots: Vec<usize>,
+    /// The per-slot snapshot (see [`PagePopulation::page_stats`]), its
+    /// popularity order and promotion pool. Every population change — a
+    /// monitored visit that raised awareness, a retirement, a probe reset —
+    /// patches its slot here at once, and each ranking repairs just those
+    /// slots.
+    cache: CorpusCache,
     /// Scratch arena for the allocation-free ranking path.
     buffers: RankBuffers,
     /// Today's result list (slot indices, rank 1 first), reused daily.
@@ -104,19 +96,14 @@ impl Simulation {
             ideal_qpc,
             measuring: false,
             protected_slots: Vec::new(),
-            stats: Vec::with_capacity(n),
-            pop_index: PopularityIndex::default(),
-            pool_index: PoolIndex::default(),
-            dirty_slots: Vec::new(),
+            cache: CorpusCache::new(),
             buffers: RankBuffers::with_capacity(n),
             ranking: Vec::with_capacity(n),
             popularity_cdf: Vec::new(),
         };
-        sim.refresh_stats();
-        sim.pop_index.rebuild(&sim.stats);
-        if sim.policy.reads_pool_index() {
-            sim.pool_index.rebuild(&sim.stats);
-        }
+        let population = &sim.population;
+        sim.cache
+            .rebuild((0..n).map(|slot| population.page_stats(slot)));
         Ok(sim)
     }
 
@@ -194,6 +181,12 @@ impl Simulation {
         self.metrics()
     }
 
+    /// The result list of the last simulated day (slot indices, rank 1
+    /// first); empty before the first day.
+    pub fn ranking(&self) -> &[usize] {
+        &self.ranking
+    }
+
     /// The metrics accumulated since the last [`Simulation::start_measurement`].
     pub fn metrics(&self) -> SimMetrics {
         let absolute = self.qpc.absolute_qpc();
@@ -210,71 +203,16 @@ impl Simulation {
         }
     }
 
-    /// One slot's current [`PageStats`] snapshot entry.
-    ///
-    /// `age_days` holds an *order-equivalent seniority surrogate*,
-    /// `u64::MAX − birthday`, not the literal age: ranking only ever
-    /// consumes age through the older-first tie-break of
-    /// [`popularity_order`](rrp_ranking::popularity_order), and since every
-    /// surviving page ages uniformly, "born earlier" and "older today"
-    /// order pages identically — the surrogate yields bit-identical
-    /// rankings while never needing a daily `O(n)` re-aging pass over the
-    /// snapshot. (Code that needs literal ages reads the population
-    /// directly; this snapshot is private to the day loop.)
-    fn slot_stats(&self, slot: usize) -> PageStats {
-        let m = self.population.monitored_users();
-        let s = self.population.slot(slot);
-        PageStats {
-            slot,
-            page: s.page,
-            popularity: s.popularity(m),
-            awareness: s.awareness(m),
-            age_days: u64::MAX - s.born.since(Day::ZERO),
-            quality: s.quality,
-        }
-    }
-
-    /// Bring the per-slot [`PageStats`] snapshot current, incrementally:
-    /// only slots in `dirty_slots` — the only ones whose popularity,
-    /// awareness, page id or birthday can have changed — are recomputed
-    /// from the population. Clean entries are already exact (the seniority
-    /// surrogate in `age_days` never moves; see
-    /// [`slot_stats`](Self::slot_stats)), so the common case touches a few
-    /// dozen slots instead of all `n`.
-    fn refresh_stats(&mut self) {
-        if self.stats.len() != self.population.len() {
-            self.stats.clear();
-            for slot in 0..self.population.len() {
-                let snapshot = self.slot_stats(slot);
-                self.stats.push(snapshot);
-            }
-            return;
-        }
-        for i in 0..self.dirty_slots.len() {
-            let slot = self.dirty_slots[i];
-            let snapshot = self.slot_stats(slot);
-            self.stats[slot] = snapshot;
-        }
-        debug_assert!((0..self.population.len()).all(|s| self.stats[s] == self.slot_stats(s)));
-    }
-
-    /// Refresh the snapshot, repair the popularity and pool indexes, and
-    /// rank today's result list into `self.ranking`. Consumes exactly the
-    /// RNG draws the policy's `rank` would, so runs are bit-identical to
-    /// the historical per-day full-sort path.
+    /// Repair the cache and rank today's result list into
+    /// `self.ranking`. Consumes exactly the RNG draws the policy's `rank`
+    /// would, so runs are bit-identical to the historical per-day
+    /// full-sort path.
     fn rank_today(&mut self) {
-        self.refresh_stats();
-        // Pool first: it borrows the dirty list that the popularity
-        // repair then drains. Both flip exactly at the dirtied slots —
-        // a monitored visit or a retirement changes awareness and
-        // popularity together. Policies that never read the pool
-        // (everything but selective promotion) skip its maintenance.
-        if self.policy.reads_pool_index() {
-            self.pool_index.repair(&self.stats, &self.dirty_slots);
-        }
-        self.pop_index.repair(&self.stats, &mut self.dirty_slots);
+        self.cache.repair();
+        debug_assert!((0..self.population.len())
+            .all(|s| self.cache.stats()[s] == self.population.page_stats(s)));
         self.policy.rank_into(
-            RankSource::pooled(&self.stats, self.pop_index.order(), &self.pool_index),
+            self.cache.view(),
             None,
             &mut self.rng,
             &mut self.buffers,
@@ -300,7 +238,7 @@ impl Simulation {
         let surf = self.config.surf_fraction;
         let teleport = self.config.teleportation;
         let popularity_sum: f64 = if surf > 0.0 {
-            self.stats.iter().map(|s| s.popularity).sum()
+            self.cache.stats().iter().map(|s| s.popularity).sum()
         } else {
             0.0
         };
@@ -325,7 +263,7 @@ impl Simulation {
                 let vu = self.config.community.total_visits_per_day();
                 for (slot, s) in self.population.slots().iter().enumerate() {
                     let link_share = if popularity_sum > 0.0 {
-                        self.stats[slot].popularity / popularity_sum
+                        self.cache.stats()[slot].popularity / popularity_sum
                     } else {
                         1.0 / n as f64
                     };
@@ -351,10 +289,11 @@ impl Simulation {
         if have_cdf {
             let mut acc = 0.0;
             self.popularity_cdf.clear();
-            self.popularity_cdf.extend(self.stats.iter().map(|s| {
-                acc += s.popularity / popularity_sum;
-                acc
-            }));
+            self.popularity_cdf
+                .extend(self.cache.stats().iter().map(|s| {
+                    acc += s.popularity / popularity_sum;
+                    acc
+                }));
         }
         for _ in 0..monitored_visits {
             let slot = if self.rng.gen::<f64>() < surf {
@@ -375,19 +314,15 @@ impl Simulation {
                 self.ranking[rank_idx.min(n - 1)]
             };
             if self.population.record_monitored_visit(slot, &mut self.rng) {
-                self.dirty_slots.push(slot);
+                self.cache.patch(slot, self.population.page_stats(slot));
             }
         }
 
-        // 4. Retire and replace pages (replacements reset popularity & age,
-        // so they are dirty for the popularity index).
+        // 4. Retire and replace pages (replacements reset popularity,
+        // awareness and age, so they are patched into the cache).
         let protected = std::mem::take(&mut self.protected_slots);
-        self.population.retire_daily_recording(
-            today,
-            &protected,
-            &mut self.rng,
-            &mut self.dirty_slots,
-        );
+        self.population
+            .retire_daily_recording(today, &protected, &mut self.rng, &mut self.cache);
         self.protected_slots = protected;
 
         self.clock.tick();
@@ -406,11 +341,11 @@ impl Simulation {
     }
 
     /// Replace the page in `slot` with a fresh zero-awareness page (probe
-    /// management), keeping the incremental popularity index in sync.
+    /// management), patching it into the cache.
     pub(crate) fn reset_slot_for_probe(&mut self, slot: usize) {
         let today = self.clock.now();
         self.population.replace_page(slot, today);
-        self.dirty_slots.push(slot);
+        self.cache.patch(slot, self.population.page_stats(slot));
     }
 
     /// The monitored-user rank-bias law (used by probes to report expected

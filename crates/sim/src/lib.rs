@@ -13,12 +13,11 @@
 //!   dispatched);
 //! * [`SimMetrics`] — absolute/normalised quality-per-click;
 //! * [`TbpResult`] / [`PopularityTrace`] — per-page probes (Figures 2, 4);
-//! * [`PagePopulation`] — the evolving page slots;
-//! * [`PopularityIndex`] / [`PoolIndex`] — re-exported from `rrp_ranking`:
-//!   the incrementally repaired popularity order and promotion-pool
-//!   membership that keep the day loop free of per-day sorting, pool
-//!   scanning and allocation (the serving tier maintains the same indexes
-//!   across batches).
+//! * [`PagePopulation`] — the evolving page slots, each patched into the
+//!   day loop's [`CorpusCache`](rrp_ranking::CorpusCache) as it changes:
+//!   the incrementally repaired stats, popularity order and promotion pool
+//!   that keep the day loop free of per-day sorting, pool scanning and
+//!   allocation (every serving shard keeps the same cache).
 //!
 //! ```
 //! use rrp_sim::{SimConfig, Simulation};
@@ -61,4 +60,3 @@ pub use config::SimConfig;
 pub use engine::Simulation;
 pub use metrics::{PopularityTrace, QpcAccumulator, SimMetrics, TbpResult};
 pub use probe::TBP_POPULARITY_THRESHOLD;
-pub use rrp_ranking::{PoolIndex, PopularityIndex};

@@ -1,83 +1,10 @@
-//! Property-based tests for the simulator's configuration and metric types,
-//! and for the incremental popularity index that keeps the day loop free of
-//! per-day sorting.
+//! Property-based tests for the simulator's configuration and metric types.
 
 use proptest::prelude::*;
-use rrp_model::{CommunityConfig, PageId};
-use rrp_ranking::{popularity_order, PageStats};
-use rrp_sim::{PopularityIndex, PopularityTrace, QpcAccumulator, SimConfig};
-
-/// One mutation of the page population, as the simulator would apply it.
-#[derive(Debug, Clone, Copy)]
-enum Event {
-    /// A monitored visit raised the page's awareness (and popularity).
-    Visit { slot: usize, gain: f64 },
-    /// The page retired and was replaced by a fresh zero-awareness page.
-    Retire { slot: usize },
-    /// A day passed: every page ages by one day (no slot is dirtied).
-    NextDay,
-}
-
-fn arb_events(n: usize) -> impl Strategy<Value = Vec<Event>> {
-    prop::collection::vec((0usize..3, 0usize..n, 0.0f64..0.2), 0..120).prop_map(|raw| {
-        raw.into_iter()
-            .map(|(kind, slot, gain)| match kind {
-                0 => Event::Visit { slot, gain },
-                1 => Event::Retire { slot },
-                _ => Event::NextDay,
-            })
-            .collect()
-    })
-}
+use rrp_model::CommunityConfig;
+use rrp_sim::{PopularityTrace, QpcAccumulator, SimConfig};
 
 proptest! {
-    /// After an arbitrary sequence of visits, retirements and day ticks —
-    /// with index repairs interleaved at arbitrary points — the incremental
-    /// popularity index equals a from-scratch sort of the current stats.
-    #[test]
-    fn incremental_index_equals_from_scratch_sort(
-        events in arb_events(30),
-        repair_every in 1usize..8,
-    ) {
-        let n = 30usize;
-        let mut stats: Vec<PageStats> = (0..n)
-            .map(|slot| PageStats::new(slot, PageId::new(slot as u64), 0.0, 0.0))
-            .collect();
-        let mut index = PopularityIndex::build(&stats);
-        let mut dirty: Vec<usize> = Vec::new();
-
-        for (step, event) in events.iter().enumerate() {
-            match *event {
-                Event::Visit { slot, gain } => {
-                    stats[slot].popularity = (stats[slot].popularity + gain).min(1.0);
-                    stats[slot].awareness = (stats[slot].awareness + gain).min(1.0);
-                    dirty.push(slot);
-                }
-                Event::Retire { slot } => {
-                    stats[slot].popularity = 0.0;
-                    stats[slot].awareness = 0.0;
-                    stats[slot].age_days = 0;
-                    dirty.push(slot);
-                }
-                Event::NextDay => {
-                    for p in stats.iter_mut() {
-                        p.age_days += 1;
-                    }
-                }
-            }
-            if step % repair_every == 0 {
-                index.repair(&stats, &mut dirty);
-                prop_assert!(dirty.is_empty());
-            }
-        }
-        index.repair(&stats, &mut dirty);
-
-        let mut expected: Vec<usize> = (0..n).collect();
-        expected.sort_by(|&a, &b| popularity_order(&stats[a], &stats[b]));
-        prop_assert_eq!(index.order(), expected.as_slice());
-        prop_assert!(index.is_consistent(&stats));
-    }
-
     /// Config validation accepts exactly the unit interval for the surf
     /// fraction and the teleportation probability.
     #[test]
