@@ -66,13 +66,12 @@ use crate::document::Document;
 use crate::engine::RankPromotionEngine;
 use rrp_model::PageId;
 use rrp_ranking::{CorpusCache, RankSource, ShardCandidates, SharedLazyOrder};
-use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
 /// One shard's slice of the corpus: its cache under dense local slots plus
 /// the local→global slot map. Both live behind `Arc`s so publication can
 /// share them into an immutable [`PublishedVersion`] without copying.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 struct ShardCache {
     cache: Arc<CorpusCache>,
     /// Local slot → global slot, strictly increasing.
@@ -278,7 +277,7 @@ impl PublishedVersion {
 /// `O(1)` global-slot addressing for mutations, a maintained merge of the
 /// shard pools, and epoch-stamped immutable publication for concurrent
 /// readers (see the module docs for the two-generation layout).
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct ShardedCorpusCache {
     shards: Vec<ShardCache>,
     /// Global slot → (shard, local slot).
@@ -297,39 +296,31 @@ pub struct ShardedCorpusCache {
     /// dirties a slot) into a fresh `Arc` so retired versions keep theirs.
     merged_pool: Arc<Vec<usize>>,
     /// Scratch: per-shard cursors for the pool merge.
-    #[serde(skip)]
     merge_heads: Vec<usize>,
     /// The diff log: global slots mutated since the last publication, in
     /// arrival order (pushes therefore ascend), deduplicated via
     /// `since_mask` so it is bounded by the corpus size.
-    #[serde(skip)]
     since_publish: Vec<usize>,
     /// Per-slot "already in `since_publish`" mask (reset at publication).
-    #[serde(skip)]
     since_mask: Vec<bool>,
     /// Whether `since_publish` is a *complete* diff against the currently
     /// published version, worth replaying onto it. False after
-    /// deserialisation or [`clear`](Self::clear), and in a fresh cache,
+    /// [`clear`](Self::clear), and in a fresh cache,
     /// whose first retired version is the empty one (replaying the whole
     /// corpus onto it would cost more than copy-on-write) — publication
     /// then charges from the actual repair and skips recycling once,
     /// falling back to copy-on-write.
-    #[serde(skip)]
     diff_log_intact: bool,
     /// The diff consumed by the last [`publish`](Self::publish), retained
     /// for the follow-up [`recycle`](Self::recycle): the retiring version
     /// lags the new one by exactly these slots.
-    #[serde(skip)]
     recycle_diff: Vec<usize>,
     /// Whether `recycle_diff` is a complete catch-up diff for the version
     /// retired by the last publication.
-    #[serde(skip)]
     recycle_valid: bool,
     /// Recycled storage for the next pool merge.
-    #[serde(skip)]
     pool_spare: Vec<usize>,
     /// Recycled storage for the next version's lazy order merge.
-    #[serde(skip)]
     order_spare: Vec<usize>,
 }
 
@@ -969,52 +960,5 @@ mod tests {
         let (order, pool) = global_reference(&docs);
         assert_eq!(version.pool_slots(), pool.members());
         assert_eq!(version.merged_order(), order.order());
-    }
-
-    /// A copy of `cache` whose slot `local` has awareness `awareness`,
-    /// written through the serialized form so the cache's dirty list never
-    /// hears of it.
-    #[cfg(debug_assertions)]
-    fn with_unmarked_awareness(cache: &CorpusCache, local: usize, awareness: f64) -> CorpusCache {
-        use serde::Value;
-        fn field<'v>(value: &'v mut Value, key: &str) -> &'v mut Value {
-            let Value::Map(fields) = value else {
-                panic!("a struct serializes to a map")
-            };
-            &mut fields.iter_mut().find(|(k, _)| k == key).unwrap().1
-        }
-        let mut value = cache.to_value();
-        let Value::Seq(stats) = field(&mut value, "stats") else {
-            panic!("stats serialize to a sequence")
-        };
-        *field(&mut stats[local], "awareness") = Value::F64(awareness);
-        CorpusCache::from_value(&value).unwrap()
-    }
-
-    /// The `is_unexplored` tripwire, at the shard tier: mutating a
-    /// document's awareness *without* routing the mutation through
-    /// [`ShardedCorpusCache::patch`] leaves that shard's pool index stale,
-    /// and the membership debug assertion inside the next shard-local
-    /// repair catches it instead of silently serving a drifted pool.
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "is_consistent")]
-    fn unmarked_shard_local_mutation_trips_the_membership_assertion() {
-        let mut docs = documents(12);
-        let mut cache = filled(&docs, 3);
-        cache.repair();
-
-        // Visit the unexplored slot 0 behind the cache's back (no dirty
-        // mark), then dirty the *same shard* through a legitimate patch:
-        // slots 0 and 3 both route to shard `shard_of(0, 3)`, so the next
-        // repair runs on the drifted shard and its membership assertion
-        // fires.
-        assert_eq!(shard_of(0, 3), shard_of(3, 3));
-        let (shard, local) = cache.placement[0];
-        let entry = &mut cache.shards[shard as usize];
-        entry.cache = Arc::new(with_unmarked_awareness(&entry.cache, local as usize, 1.0));
-        docs[3].popularity = 0.9;
-        cache.patch(3, &docs[3]);
-        cache.repair();
     }
 }

@@ -22,12 +22,11 @@ use crate::poolindex::PoolIndex;
 use crate::popindex::PopularityIndex;
 use crate::source::RankSource;
 use crate::stats::PageStats;
-use serde::{Deserialize, Serialize};
 
 /// The persistent ranking caches over one corpus: statistics snapshot,
 /// popularity order, and promotion-pool membership, repaired together from
 /// one dirty list.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct CorpusCache {
     /// `PageStats` for each slot (`stats[i].slot == i`), patched in place
     /// on mutation.

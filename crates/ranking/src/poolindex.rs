@@ -28,10 +28,9 @@
 //! is observable through the pool.
 
 use crate::stats::PageStats;
-use serde::{Deserialize, Serialize};
 
 /// Unexplored slots in ascending slot order, repaired incrementally.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PoolIndex {
     /// Pool members (unexplored slots), ascending. Invariant outside
     /// `repair`: equals the slots where `is_unexplored` holds for the most
@@ -42,10 +41,8 @@ pub struct PoolIndex {
     /// without an `O(n)` clear per query.
     mask: Vec<bool>,
     /// Scratch: dirty slots that test unexplored, sorted ascending.
-    #[serde(skip)]
     incoming: Vec<usize>,
     /// Scratch: merge target swapped with `members` during a repair.
-    #[serde(skip)]
     merged: Vec<usize>,
 }
 

@@ -25,19 +25,16 @@
 //! the same binary-search reinsertion.
 
 use crate::stats::{popularity_order, PageStats};
-use serde::{Deserialize, Serialize};
 
 /// Slots sorted by [`popularity_order`], repaired incrementally.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct PopularityIndex {
     /// Slot indices, best-ranked first. Invariant outside `repair`: sorted
     /// by `popularity_order` over the most recent `stats` passed in.
     order: Vec<usize>,
     /// Scratch: merge target swapped with `order` during a repair.
-    #[serde(skip)]
     merged: Vec<usize>,
     /// Scratch: insertion position of each dirty slot during a repair.
-    #[serde(skip)]
     positions: Vec<usize>,
 }
 

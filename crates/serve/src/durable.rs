@@ -16,9 +16,10 @@
 //!            └──────────────────────────────────────────┘
 //!
 //!            ┌──────────────── recovery ────────────────┐
-//!            │ 1. read + CRC-verify snapshot            │
-//!            │    (corrupt/missing → start empty,       │
-//!            │     replay the whole log instead)        │
+//!            │ 1. read + CRC-verify snapshot, rebuild   │
+//!            │    the serving tier from its documents   │
+//!            │    (corrupt/missing/older format → start │
+//!            │     empty, replay the whole log instead) │
 //!            │ 2. replay the log tail (events ≥ the     │
 //!            │    snapshot's high-water mark)           │
 //!            │ 3. classify the tail: torn final write   │
@@ -31,11 +32,30 @@
 //!
 //! Replay reproduces bit-identical output because every serving answer is
 //! a pure function of (engine seed, query, session) over the store's
-//! canonical order, and both the snapshot (exact-bit floats through the
-//! shortest-round-trip JSON codec) and the log (floats as IEEE bit
-//! patterns) preserve that state exactly — the crash-recovery conformance
-//! suite pins recovered output against an uncrashed twin across shard ×
-//! worker × policy × engine-version grids.
+//! canonical documents, and both the snapshot and the log carry those
+//! documents in the same fixed-width record (floats as IEEE bit patterns)
+//! — the crash-recovery conformance suite pins recovered output against
+//! an uncrashed twin across shard × worker × policy × engine-version
+//! grids.
+//!
+//! ## Snapshot payload
+//!
+//! A snapshot holds the documents and nothing derived from them:
+//!
+//! ```text
+//! payload := engine_len u64-le ‖ engine JSON (engine_len bytes)
+//!            ‖ shard_count u64-le ‖ next_event u64-le ‖ count u64-le
+//!            ‖ count × document record (25 bytes, ascending sequence)
+//! record  := id u64-le ‖ popularity bits u64-le ‖ unexplored u8 (0|1)
+//!            ‖ age_days u64-le
+//! ```
+//!
+//! The record is the body of a logged insert event
+//! ([`rrp_wal::encode_document`]). On load the header is checked against
+//! the requested deployment and `count × 25` against the bytes that follow
+//! before anything is allocated; the store, every shard cache and the
+//! published version are then rebuilt by inserting the documents through
+//! the live insert path, so the serving tier has exactly one derivation.
 //!
 //! The log is retained across snapshots (a snapshot only moves the replay
 //! start), so any *prefix* of history can be replayed — the time-travel
@@ -43,15 +63,14 @@
 
 use crate::error::ServeError;
 use crate::service::{ServeStats, ShardedPromotionService, StoreGuard};
-use crate::store::ShardedStore;
-use rrp_core::{Document, QueryContext, RankPromotionEngine, ShardedCorpusCache};
+use rrp_core::{Document, QueryContext, RankPromotionEngine};
 use rrp_wal::fault::{Failpoint, FailpointSink};
 use rrp_wal::snapshot::{read_snapshot, write_snapshot_atomic};
 use rrp_wal::{
-    create_log_file, resume_log_file, FileSink, TailStatus, WalError, WalEvent, WalReader,
-    WalWriter,
+    create_log_file, decode_document, encode_document, resume_log_file, FileSink, TailStatus,
+    WalError, WalEvent, WalReader, WalWriter, DOCUMENT_RECORD_LEN,
 };
-use serde::{Deserialize, Serialize, Value};
+use serde::Serialize;
 use std::path::{Path, PathBuf};
 
 /// File name of the log inside a durable directory.
@@ -328,14 +347,23 @@ impl DurableService {
         self.maybe_snapshot()
     }
 
-    /// Write a snapshot right now: sync the log, serialise the engine,
-    /// store and serving tier, and rename it into place atomically. A
-    /// crash at any instant leaves either the previous snapshot or this
-    /// one.
+    /// Write a snapshot right now: sync the log, copy the documents out
+    /// under the writer lock, encode them after releasing it, and rename
+    /// the file into place atomically. A crash at any instant leaves
+    /// either the previous snapshot or this one.
     pub fn snapshot_now(&mut self) -> Result<(), ServeError> {
         self.wal.sync()?;
-        let payload = encode_snapshot(&self.inner, self.wal.next_seq())?;
-        write_snapshot_atomic(&self.snapshot_path, payload.as_bytes())?;
+        let (documents, shard_count) = {
+            let store = self.inner.store();
+            (store.snapshot(), store.shard_count())
+        };
+        let payload = encode_snapshot(
+            &self.inner.engine(),
+            shard_count,
+            self.wal.next_seq(),
+            &documents,
+        )?;
+        write_snapshot_atomic(&self.snapshot_path, &payload)?;
         self.snapshots_written += 1;
         self.events_since_snapshot = 0;
         Ok(())
@@ -429,10 +457,12 @@ pub(crate) struct SnapshotBootstrap {
 }
 
 /// Load and verify the snapshot at `snapshot_path`, if one exists, and
-/// seed a service from it. A snapshot that exists but fails verification
-/// is recovered *around* — start empty, replay everything; a snapshot
-/// that verifies but belongs to a different deployment (engine, shard
-/// count) is a typed error.
+/// seed a service from it by inserting its documents through the live
+/// insert path. A snapshot that exists but fails verification (including
+/// an older envelope version) is recovered *around* — start empty, replay
+/// everything; a snapshot that verifies but belongs to a different
+/// deployment (engine, shard count) or whose payload is malformed is a
+/// typed error.
 pub(crate) fn bootstrap_snapshot(
     snapshot_path: &Path,
     engine: RankPromotionEngine,
@@ -440,10 +470,12 @@ pub(crate) fn bootstrap_snapshot(
 ) -> Result<SnapshotBootstrap, ServeError> {
     match read_snapshot(snapshot_path) {
         Ok(Some(payload)) => {
-            let state = decode_snapshot(&payload, &engine, shard_count)?;
+            let (documents, hwm) = decode_snapshot(&payload, &engine, shard_count)?;
+            let service = ShardedPromotionService::try_new(engine, shard_count)?;
+            service.extend(documents);
             Ok(SnapshotBootstrap {
-                service: ShardedPromotionService::from_parts(engine, state.store, state.shards),
-                hwm: state.next_event,
+                service,
+                hwm,
                 snapshot_loaded: true,
                 snapshot_fallback: false,
             })
@@ -532,83 +564,109 @@ impl ReplayCursor {
     }
 }
 
-/// The serialized form of a snapshot payload: engine, store, serving
-/// tier, and the event sequence the snapshot is current through.
-struct SnapshotState {
-    store: ShardedStore,
-    shards: ShardedCorpusCache,
-    next_event: u64,
-}
-
-fn encode_snapshot(
-    service: &ShardedPromotionService,
-    next_event: u64,
-) -> Result<String, ServeError> {
-    // One writer-lock scope covers both halves: taking `store()` and a
-    // second guard in the same expression would deadlock on the
-    // non-reentrant writer mutex.
-    let (store, shards) =
-        service.with_writer(|store, shards| (store.to_value(), shards.to_value()));
-    let value = Value::Map(vec![
-        ("engine".to_string(), service.engine().to_value()),
-        ("store".to_string(), store),
-        ("shards".to_string(), shards),
-        ("next_event".to_string(), next_event.to_value()),
-    ]);
-    serde_json::to_string(&value).map_err(|e| ServeError::Recovery {
-        detail: format!("snapshot serialisation failed: {e}"),
+/// The engine's JSON form: the deployment identity a snapshot records and
+/// recovery compares byte for byte.
+fn engine_json(engine: &RankPromotionEngine) -> Result<String, ServeError> {
+    serde_json::to_string(&engine.to_value()).map_err(|e| ServeError::Recovery {
+        detail: format!("engine serialisation failed: {e}"),
     })
 }
 
+/// Encode a snapshot payload (layout in the module docs): the header, then
+/// one record per document in ascending sequence order.
+fn encode_snapshot(
+    engine: &RankPromotionEngine,
+    shard_count: usize,
+    next_event: u64,
+    documents: &[Document],
+) -> Result<Vec<u8>, ServeError> {
+    let engine = engine_json(engine)?;
+    let mut out = Vec::with_capacity(32 + engine.len() + documents.len() * DOCUMENT_RECORD_LEN);
+    out.extend_from_slice(&(engine.len() as u64).to_le_bytes());
+    out.extend_from_slice(engine.as_bytes());
+    out.extend_from_slice(&(shard_count as u64).to_le_bytes());
+    out.extend_from_slice(&next_event.to_le_bytes());
+    out.extend_from_slice(&(documents.len() as u64).to_le_bytes());
+    for document in documents {
+        encode_document(document, &mut out);
+    }
+    Ok(out)
+}
+
+/// Split the next `len` bytes off `rest`, or name the field the payload
+/// ends inside.
+fn take<'a>(rest: &mut &'a [u8], len: usize, field: &str) -> Result<&'a [u8], ServeError> {
+    if rest.len() < len {
+        return Err(ServeError::Recovery {
+            detail: format!(
+                "snapshot ends inside its {field}: {len} bytes needed, {} left",
+                rest.len()
+            ),
+        });
+    }
+    let (head, tail) = rest.split_at(len);
+    *rest = tail;
+    Ok(head)
+}
+
+fn take_u64(rest: &mut &[u8], field: &str) -> Result<u64, ServeError> {
+    let bytes = take(rest, 8, field)?;
+    Ok(u64::from_le_bytes(bytes.try_into().expect("took 8 bytes")))
+}
+
+/// Decode a snapshot payload into its documents and the event sequence it
+/// is current through. Every header field is checked — the engine and
+/// shard count against the requested deployment, the record count against
+/// the bytes that follow — before the document vector is allocated, so a
+/// payload that passes its checksum but lies gets a typed error.
 fn decode_snapshot(
     payload: &[u8],
     engine: &RankPromotionEngine,
     shard_count: usize,
-) -> Result<SnapshotState, ServeError> {
+) -> Result<(Vec<Document>, u64), ServeError> {
     let recovery = |detail: String| ServeError::Recovery { detail };
-    let text = std::str::from_utf8(payload)
-        .map_err(|e| recovery(format!("snapshot is not UTF-8: {e}")))?;
-    let value: Value = serde_json::from_str(text)
-        .map_err(|e| recovery(format!("snapshot is not valid JSON: {e}")))?;
-    let field = |name: &str| {
-        value
-            .get(name)
-            .ok_or_else(|| recovery(format!("snapshot is missing the `{name}` field")))
-    };
-    let stored_engine = RankPromotionEngine::from_value(field("engine")?)
-        .map_err(|e| recovery(format!("snapshot engine: {e}")))?;
+    let mut rest = payload;
+    let engine_len = take_u64(&mut rest, "engine length")?;
+    let engine_len = usize::try_from(engine_len).unwrap_or(usize::MAX);
+    let stored_engine = take(&mut rest, engine_len, "engine")?;
     // The engine (config, seed, version) defines every RNG stream; a
     // snapshot from a different engine would replay into silently
     // different rankings, so the mismatch is surfaced instead.
-    if stored_engine.to_value() != engine.to_value() {
+    if stored_engine != engine_json(engine)?.as_bytes() {
         return Err(recovery(
             "snapshot was written by a different engine configuration".to_string(),
         ));
     }
-    let store = ShardedStore::from_value(field("store")?)
-        .map_err(|e| recovery(format!("snapshot store: {e}")))?;
-    if store.shard_count() != shard_count {
+    let stored_shards = take_u64(&mut rest, "shard count")?;
+    if stored_shards != shard_count as u64 {
         return Err(recovery(format!(
-            "snapshot has {} shards, the service was opened with {shard_count}",
-            store.shard_count()
+            "snapshot has {stored_shards} shards, the service was opened with {shard_count}"
         )));
     }
-    let shards = ShardedCorpusCache::from_value(field("shards")?)
-        .map_err(|e| recovery(format!("snapshot serving tier: {e}")))?;
-    if shards.len() != store.len() {
+    let next_event = take_u64(&mut rest, "event mark")?;
+    let count = take_u64(&mut rest, "document count")?;
+    if count.checked_mul(DOCUMENT_RECORD_LEN as u64) != Some(rest.len() as u64) {
         return Err(recovery(format!(
-            "snapshot serving tier covers {} slots but the store holds {} documents",
-            shards.len(),
-            store.len()
+            "snapshot promises {count} documents but {} record bytes follow",
+            rest.len()
         )));
     }
-    let next_event = u64::from_value(field("next_event")?)
-        .map_err(|e| recovery(format!("snapshot next_event: {e}")))?;
-    Ok(SnapshotState {
-        store,
-        shards,
-        next_event,
-    })
+    // Every document entered through a logged insert, so a snapshot can
+    // never hold more documents than events it covers.
+    if count > next_event {
+        return Err(recovery(format!(
+            "snapshot holds {count} documents but covers only {next_event} events"
+        )));
+    }
+    let documents = rest
+        .chunks_exact(DOCUMENT_RECORD_LEN)
+        .enumerate()
+        .map(|(seq, record)| {
+            decode_document(record)
+                .ok_or_else(|| recovery(format!("snapshot document {seq} is malformed")))
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    Ok((documents, next_event))
 }
 
 /// Apply one replayed event. Events were validated before they were
@@ -786,5 +844,143 @@ mod tests {
         let (_, report) = DurableService::open(dir.path(), engine(), 2).unwrap();
         assert_eq!(report.events_lost, 0);
         assert_eq!(report.events_replayed, 1);
+    }
+
+    /// A payload written by `DurableService::snapshot_now` for `docs`.
+    fn payload_of(docs: &[Document], shards: usize, next_event: u64) -> Vec<u8> {
+        encode_snapshot(&engine(), shards, next_event, docs).unwrap()
+    }
+
+    /// The byte offset of the document count inside a payload of `engine()`.
+    fn count_offset() -> usize {
+        8 + engine_json(&engine()).unwrap().len() + 16
+    }
+
+    fn recovery_error(payload: &[u8], shards: usize) -> String {
+        match decode_snapshot(payload, &engine(), shards) {
+            Err(ServeError::Recovery { detail }) => detail,
+            other => panic!("expected a typed recovery error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn snapshot_payload_byte_layout_is_pinned() {
+        let docs = [
+            Document::established(7, 0.5).with_age(3),
+            Document::unexplored(258),
+        ];
+        let payload = payload_of(&docs, 2, 5);
+        let json = engine_json(&engine()).unwrap();
+        let l = json.len();
+        assert_eq!(payload[..8], (l as u64).to_le_bytes());
+        assert_eq!(&payload[8..8 + l], json.as_bytes());
+        #[rustfmt::skip]
+        let tail: [u8; 24 + 2 * DOCUMENT_RECORD_LEN] = [
+            2, 0, 0, 0, 0, 0, 0, 0, // shard count
+            5, 0, 0, 0, 0, 0, 0, 0, // next event
+            2, 0, 0, 0, 0, 0, 0, 0, // document count
+            // id 7, popularity 0.5 (0x3FE0_0000_0000_0000), explored, age 3
+            7, 0, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0xE0, 0x3F,
+            0,
+            3, 0, 0, 0, 0, 0, 0, 0,
+            // id 258, popularity 0.0, unexplored, age 0
+            2, 1, 0, 0, 0, 0, 0, 0,
+            0, 0, 0, 0, 0, 0, 0, 0,
+            1,
+            0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        assert_eq!(&payload[8 + l..], &tail[..]);
+    }
+
+    #[test]
+    fn snapshots_round_trip_the_store_bit_exactly() {
+        for n in [0u64, 1, 57] {
+            let dir = Scratch::new(&format!("round-trip-{n}"));
+            let (mut svc, _) = DurableService::open(dir.path(), engine(), 3).unwrap();
+            for i in 0..n {
+                let doc = if i % 4 == 0 {
+                    Document::unexplored(i * 13)
+                } else {
+                    Document::established(i * 13, 1.0 / (i + 3) as f64).with_age(i)
+                };
+                svc.insert(doc).unwrap();
+            }
+            for seq in (0..n).step_by(5) {
+                svc.record_visit(seq).unwrap();
+                svc.update_popularity(seq, 0.1 + seq as f64 / 7.0).unwrap();
+            }
+            svc.snapshot_now().unwrap();
+            let expected = svc.store().snapshot();
+            let next = svc.wal.next_seq();
+
+            let payload = read_snapshot(&svc.snapshot_path).unwrap().unwrap();
+            let (decoded, mark) = decode_snapshot(&payload, &engine(), 3).unwrap();
+            assert_eq!(mark, next);
+            assert_eq!(decoded.len(), expected.len());
+            for (got, want) in decoded.iter().zip(&expected) {
+                assert_eq!(got.id, want.id);
+                assert_eq!(got.popularity.to_bits(), want.popularity.to_bits());
+                assert_eq!(got.is_unexplored, want.is_unexplored);
+                assert_eq!(got.age_days, want.age_days);
+            }
+            drop(svc);
+            let (back, report) = DurableService::open(dir.path(), engine(), 3).unwrap();
+            assert!(report.snapshot_loaded);
+            assert_eq!(report.events_replayed, 0);
+            assert_eq!(back.store().snapshot(), expected, "{n} documents");
+        }
+    }
+
+    #[test]
+    fn lying_payloads_get_typed_errors() {
+        let docs: Vec<Document> = (0..3).map(doc).collect();
+        let good = payload_of(&docs, 2, 3);
+        let count_at = count_offset();
+        assert!(decode_snapshot(&good, &engine(), 2).is_ok());
+
+        // Truncated: the last record is cut short, or the header itself.
+        let detail = recovery_error(&good[..good.len() - 1], 2);
+        assert!(detail.contains("promises 3 documents"), "{detail}");
+        let detail = recovery_error(&good[..count_at + 3], 2);
+        assert!(detail.contains("document count"), "{detail}");
+        recovery_error(&good[..2], 2);
+
+        // A count whose byte length overflows u64, and one that merely
+        // disagrees with the bytes present: rejected before any
+        // allocation sized by it.
+        for lie in [u64::MAX, u64::MAX / 25 + 1, 4, 2, 0] {
+            let mut bad = good.clone();
+            bad[count_at..count_at + 8].copy_from_slice(&lie.to_le_bytes());
+            let detail = recovery_error(&bad, 2);
+            assert!(
+                detail.contains(&format!("promises {lie} documents")),
+                "{detail}"
+            );
+        }
+
+        // An engine length running past the end of the payload.
+        let mut bad = good.clone();
+        for lie in [u64::MAX, good.len() as u64] {
+            bad[..8].copy_from_slice(&lie.to_le_bytes());
+            assert!(recovery_error(&bad, 2).contains("ends inside its engine"));
+        }
+
+        // A flag byte that is not a boolean.
+        let mut bad = good.clone();
+        bad[count_at + 8 + DOCUMENT_RECORD_LEN + 16] = 2;
+        assert!(recovery_error(&bad, 2).contains("document 1 is malformed"));
+
+        // More documents than the events the snapshot claims to cover.
+        let detail = recovery_error(&payload_of(&docs, 2, 2), 2);
+        assert!(detail.contains("covers only 2 events"), "{detail}");
+
+        // The deployment checks: another engine, another shard count.
+        let other = RankPromotionEngine::recommended().with_seed(43);
+        match decode_snapshot(&good, &other, 2) {
+            Err(ServeError::Recovery { detail }) => assert!(detail.contains("engine")),
+            other => panic!("expected an engine mismatch, got {other:?}"),
+        }
+        assert!(recovery_error(&good, 3).contains("opened with 3"));
     }
 }

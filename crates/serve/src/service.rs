@@ -252,7 +252,20 @@ impl ShardedPromotionService {
     pub fn new(engine: RankPromotionEngine, shard_count: usize) -> Self {
         let store = ShardedStore::new(shard_count);
         let shards = ShardedCorpusCache::new(store.shard_count());
-        Self::from_parts(engine, store, shards)
+        let published = Arc::new(PublishedVersion::empty(store.shard_count()));
+        ShardedPromotionService {
+            engine,
+            workers: available_workers(),
+            epoch: AtomicU64::new(0),
+            writer: Mutex::new(WriterState {
+                store,
+                shards,
+                rebuild_scratch: Vec::new(),
+            }),
+            published: RwLock::new(published),
+            probe: ProbeCells::default(),
+            scratch: Mutex::new(Vec::new()),
+        }
     }
 
     /// Like [`new`](Self::new), but a zero `shard_count` is a typed
@@ -268,47 +281,6 @@ impl ShardedPromotionService {
             return Err(crate::ServeError::InvalidShardCount { requested: 0 });
         }
         Ok(Self::new(engine, shard_count))
-    }
-
-    /// Reassemble a service from recovered state: the engine, the store
-    /// and the serving tier exactly as a snapshot captured them. Scratch
-    /// and probes start fresh — they are per-process, not part of the
-    /// durable state. The caller (the recovery path) guarantees the three
-    /// parts belong together.
-    pub(crate) fn from_parts(
-        engine: RankPromotionEngine,
-        store: ShardedStore,
-        shards: ShardedCorpusCache,
-    ) -> Self {
-        // A non-empty recovered corpus must start one epoch ahead of the
-        // empty sentinel version, so the first query publishes instead of
-        // serving the sentinel; an empty corpus is exactly the sentinel.
-        let epoch = if store.is_empty() { 0 } else { 1 };
-        let published = Arc::new(PublishedVersion::empty(store.shard_count()));
-        ShardedPromotionService {
-            engine,
-            workers: available_workers(),
-            epoch: AtomicU64::new(epoch),
-            writer: Mutex::new(WriterState {
-                store,
-                shards,
-                rebuild_scratch: Vec::new(),
-            }),
-            published: RwLock::new(published),
-            probe: ProbeCells::default(),
-            scratch: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Run `f` over the writer-side store and serving tier under the
-    /// writer lock — the durable wrapper's snapshot path, which needs a
-    /// single consistent view of both halves.
-    pub(crate) fn with_writer<R>(
-        &self,
-        f: impl FnOnce(&ShardedStore, &ShardedCorpusCache) -> R,
-    ) -> R {
-        let writer = self.writer.lock().expect("writer lock");
-        f(&writer.store, &writer.shards)
     }
 
     /// Set the number of batch worker threads (clamped to at least 1).

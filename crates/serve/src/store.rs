@@ -16,11 +16,10 @@
 
 use crate::error::ServeError;
 use rrp_core::Document;
-use serde::{Deserialize, Serialize};
 
 /// A sharded document store with a canonical, shard-count-independent
 /// snapshot order.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ShardedStore {
     /// Per-shard `(sequence, document)` pairs; each shard is ascending in
     /// sequence because inserts are globally ordered.

@@ -1,6 +1,6 @@
 //! Fault injection against the durable serving tier: torn tails, flipped
-//! bytes, unreadable headers, corrupt snapshots, and append-time I/O
-//! failures. The bar everywhere: **typed errors and clean truncation,
+//! bytes, unreadable headers, corrupt, lying and older-format snapshots,
+//! and append-time I/O failures. The bar everywhere: **typed errors and clean truncation,
 //! never a panic, never silently wrong state** — whatever survives on
 //! disk recovers to exactly the live state that produced it.
 
@@ -9,9 +9,10 @@ mod common;
 use common::{apply_mutation_durable, arb_ops, assert_same_corpus, queries, ServeShape, TempDir};
 use proptest::prelude::*;
 use rrp_core::{Document, RankPromotionEngine};
-use rrp_serve::{DurableService, ServeError, ShardedPromotionService};
+use rrp_serve::{DurableService, ReplicaService, ServeError, ShardedPromotionService};
 use rrp_wal::fault::{flip_byte, truncate_at, Failpoint};
-use rrp_wal::{WalEvent, WalReader, WAL_HEADER_LEN};
+use rrp_wal::snapshot::{read_snapshot, write_snapshot_atomic, SNAPSHOT_MAGIC};
+use rrp_wal::{crc32, WalEvent, WalReader, DOCUMENT_RECORD_LEN, WAL_HEADER_LEN};
 
 fn engine(seed: u64) -> RankPromotionEngine {
     RankPromotionEngine::recommended().with_seed(seed)
@@ -306,4 +307,130 @@ fn a_log_cut_below_the_snapshot_mark_is_reset_and_the_snapshot_carries() {
     assert_eq!(report.events_lost, 0);
     assert_eq!(report.events_replayed, 1);
     assert_eq!(again.rerank_batch(&qs), twin.rerank_batch(&qs));
+}
+
+/// Fill a durable directory with `n` inserts and a snapshot of them, and
+/// return the twin that applied the same inserts live.
+fn snapshotted_history(dir: &TempDir, seed: u64, n: u64) -> ShardedPromotionService {
+    let (mut durable, _) = DurableService::open(dir.path(), engine(seed), 2).unwrap();
+    let twin = ShardedPromotionService::new(engine(seed), 2);
+    for i in 0..n {
+        let doc = if i % 3 == 0 {
+            Document::unexplored(i)
+        } else {
+            Document::established(i, 0.9 - i as f64 * 0.01).with_age(i)
+        };
+        durable.insert(doc).unwrap();
+        twin.insert(doc);
+    }
+    durable.snapshot_now().unwrap();
+    twin
+}
+
+/// A snapshot file in the version-1 envelope, its payload the JSON the
+/// older format carried: CRC-valid, but not a format this build reads.
+fn write_v1_snapshot(path: &std::path::Path) {
+    let payload = br#"{"engine":{},"store":{},"shards":{},"next_event":0}"#;
+    let mut bytes = SNAPSHOT_MAGIC.to_vec();
+    bytes.extend_from_slice(&1u32.to_le_bytes());
+    bytes.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+    bytes.extend_from_slice(&crc32(payload).to_le_bytes());
+    bytes.extend_from_slice(payload);
+    std::fs::write(path, bytes).unwrap();
+}
+
+#[test]
+fn crc_valid_lying_snapshots_get_typed_errors_not_panics() {
+    let dir = TempDir::new("snapshot-lies");
+    drop(snapshotted_history(&dir, 17, 6));
+    let good = read_snapshot(&dir.snapshot_path()).unwrap().unwrap();
+    let engine_len = u64::from_le_bytes(good[..8].try_into().unwrap()) as usize;
+    let count_at = 8 + engine_len + 16;
+    let records_at = count_at + 8;
+    assert_eq!(good.len(), records_at + 6 * DOCUMENT_RECORD_LEN);
+
+    let with_count = |count: u64| {
+        let mut bad = good.clone();
+        bad[count_at..records_at].copy_from_slice(&count.to_le_bytes());
+        bad
+    };
+    let mut bad_engine_len = good.clone();
+    bad_engine_len[..8].copy_from_slice(&(good.len() as u64).to_le_bytes());
+    let mut bad_flag = good.clone();
+    bad_flag[records_at + 2 * DOCUMENT_RECORD_LEN + 16] = 2;
+    let lies: Vec<(&str, Vec<u8>)> = vec![
+        ("truncated records", good[..good.len() - 7].to_vec()),
+        ("truncated header", good[..count_at + 4].to_vec()),
+        ("count overflows", with_count(u64::MAX / 2)),
+        ("count mismatch", with_count(7)),
+        ("engine past the end", bad_engine_len),
+        ("flag byte 2", bad_flag),
+    ];
+    for (what, payload) in lies {
+        write_snapshot_atomic(&dir.snapshot_path(), &payload).unwrap();
+        let leader = DurableService::open(dir.path(), engine(17), 2);
+        assert!(
+            matches!(leader, Err(ServeError::Recovery { .. })),
+            "{what}: leader got {:?}",
+            leader.map(|_| ())
+        );
+        let replica = ReplicaService::open(dir.path(), engine(17), 2);
+        assert!(
+            matches!(replica, Err(ServeError::Recovery { .. })),
+            "{what}: replica got {:?}",
+            replica.map(|_| ())
+        );
+    }
+
+    // The honest payload, opened under the wrong deployment.
+    write_snapshot_atomic(&dir.snapshot_path(), &good).unwrap();
+    for (seed, shards) in [(18, 2), (17, 3)] {
+        let opened = DurableService::open(dir.path(), engine(seed), shards);
+        assert!(
+            matches!(opened, Err(ServeError::Recovery { .. })),
+            "seed {seed}, {shards} shards: got {:?}",
+            opened.map(|_| ())
+        );
+    }
+    let (_, report) = DurableService::open(dir.path(), engine(17), 2).unwrap();
+    assert!(report.snapshot_loaded);
+}
+
+#[test]
+fn an_older_format_snapshot_is_recovered_around_by_full_log_replay() {
+    let dir = TempDir::new("snapshot-v1");
+    let twin = snapshotted_history(&dir, 23, 14);
+    let (mut durable, _) = DurableService::open(dir.path(), engine(23), 2).unwrap();
+    durable.record_visit(0).unwrap();
+    twin.record_visit(0);
+    drop(durable);
+    write_v1_snapshot(&dir.snapshot_path());
+
+    let (recovered, report) = DurableService::open(dir.path(), engine(23), 2).unwrap();
+    assert!(report.snapshot_fallback);
+    assert!(!report.snapshot_loaded);
+    assert_eq!(report.events_replayed, 15, "the whole history replays");
+    assert_same_corpus(&recovered.store().snapshot(), &twin.store().snapshot());
+    let qs = queries(4, 23);
+    assert_eq!(recovered.rerank_batch(&qs), twin.rerank_batch(&qs));
+}
+
+#[test]
+fn an_older_format_snapshot_over_a_reset_log_is_a_typed_recovery_error() {
+    let dir = TempDir::new("snapshot-v1-reset");
+    drop(snapshotted_history(&dir, 29, 10));
+    // Reset the log: an unreadable header leaves the snapshot to carry
+    // events 0..10, and appends resume at 10.
+    flip_byte(&dir.wal_path(), 0).unwrap();
+    let (mut durable, report) = DurableService::open(dir.path(), engine(29), 2).unwrap();
+    assert!(report.log_reset);
+    assert_eq!(durable.insert(Document::unexplored(99)).unwrap(), 10);
+    drop(durable);
+
+    // Without a readable snapshot the log no longer holds full history.
+    write_v1_snapshot(&dir.snapshot_path());
+    assert!(matches!(
+        DurableService::open(dir.path(), engine(29), 2),
+        Err(ServeError::Recovery { .. })
+    ));
 }

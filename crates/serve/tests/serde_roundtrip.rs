@@ -1,155 +1,21 @@
-//! Serde round-trip regressions for everything a snapshot persists:
-//! the sharded serving cache, the sharded store, and the engine —
-//! including the versioned-engine compatibility fallback (a serialized
-//! engine with no `version` field deserializes to V1, so pre-versioning
-//! snapshots keep their recorded behavior).
+//! Serde round-trip regressions for the engine — the one serialized value
+//! a snapshot still carries (its JSON is the deployment identity recovery
+//! checks) — including the versioned-engine compatibility fallback (a
+//! serialized engine with no `version` field deserializes to V1, so
+//! engines recorded before versioning keep their recorded behavior).
 //!
-//! Round trips go all the way through the JSON text codec (the on-disk
-//! snapshot format), not just `Value`, and are checked two ways: the
-//! re-serialized `Value` is `==` the original, and behavioral probes
-//! (pool membership, merged order, page ids, popularity bits) agree.
+//! Round trips go all the way through the JSON text codec, not just
+//! `Value`.
 
-mod common;
-
-use common::assert_same_corpus;
-use proptest::prelude::*;
-use rrp_core::{Document, EngineVersion, RankPromotionEngine, ShardedCorpusCache};
+use rrp_core::{EngineVersion, RankPromotionEngine};
 use rrp_ranking::{PromotionConfig, PromotionRule};
-use rrp_serve::ShardedStore;
 use serde::{Deserialize, Serialize, Value};
 
-/// Through the on-disk codec: value → JSON text → value → T.
+/// Through the text codec: value → JSON text → value → T.
 fn roundtrip<T: Serialize + Deserialize>(value: &T) -> T {
     let text = serde_json::to_string(&value.to_value()).expect("serializes");
     let parsed: Value = serde_json::from_str(&text).expect("parses");
     T::from_value(&parsed).expect("deserializes")
-}
-
-/// The documents a test corpus holds: a mix of unexplored and established
-/// entries with bit-awkward popularities.
-fn corpus(n: usize) -> Vec<Document> {
-    (0..n)
-        .map(|i| {
-            if i % 3 == 0 {
-                Document::unexplored(i as u64 * 11)
-            } else {
-                Document::established(i as u64 * 11, 0.1 + i as f64 * 0.07).with_age(i as u64)
-            }
-        })
-        .collect()
-}
-
-/// Probe-level equality for a round-tripped cache `got` and its original
-/// (beyond `Value` equality): the same shape and backlog, and a
-/// publication of each answers every serving-path accessor the same.
-fn assert_same_cache(got: &mut ShardedCorpusCache, expected: &mut ShardedCorpusCache) {
-    assert_eq!(got.shard_count(), expected.shard_count());
-    assert_eq!(got.len(), expected.len());
-    assert_eq!(got.dirty_len(), expected.dirty_len());
-    // A deserialized cache has no publication diff log, so its first
-    // publication charges exactly the repair it runs.
-    let backlog = got.dirty_len() as u64;
-    let (got_version, got_charged) = got.publish(1);
-    let (expected_version, _) = expected.publish(1);
-    assert_eq!(got_charged, backlog);
-    assert_eq!(got_version.pool_slots(), expected_version.pool_slots());
-    for slot in 0..expected.len() {
-        assert_eq!(
-            got_version.page_of(slot),
-            expected_version.page_of(slot),
-            "page at {slot}"
-        );
-        assert_eq!(
-            got_version.in_pool(slot),
-            expected_version.in_pool(slot),
-            "pool at {slot}"
-        );
-        let g = got_version.stat_of(slot);
-        let e = expected_version.stat_of(slot);
-        assert_eq!(g.slot, e.slot);
-        assert_eq!(
-            g.popularity.to_bits(),
-            e.popularity.to_bits(),
-            "popularity bits at {slot}"
-        );
-    }
-    let (got_order, _) = got_version.ensure_merged_order();
-    let (expected_order, _) = expected_version.ensure_merged_order();
-    assert_eq!(got_order, expected_order);
-}
-
-#[test]
-fn an_empty_cache_roundtrips() {
-    for shards in [1usize, 2, 8] {
-        let mut cache = ShardedCorpusCache::new(shards);
-        let mut back = roundtrip(&cache);
-        assert_eq!(back.to_value(), cache.to_value());
-        assert_same_cache(&mut back, &mut cache);
-    }
-}
-
-#[test]
-fn a_populated_repaired_cache_roundtrips_with_and_without_pool_members() {
-    let explored: Vec<Document> = corpus(25)
-        .into_iter()
-        .map(|d| Document::established(d.id, d.popularity).with_age(d.age_days))
-        .collect();
-    for docs in [corpus(25), explored] {
-        for shards in [1usize, 3, 8] {
-            let mut cache = ShardedCorpusCache::new(shards);
-            for (i, doc) in docs.iter().enumerate() {
-                cache.push(i % shards, doc);
-            }
-            cache.repair();
-            let mut back = roundtrip(&cache);
-            assert_eq!(back.to_value(), cache.to_value(), "{shards} shards");
-            assert_same_cache(&mut back, &mut cache);
-        }
-    }
-}
-
-#[test]
-fn a_mid_dirty_cache_roundtrips_and_repairs_identically() {
-    // Dirty state (patched but not yet repaired) is part of the snapshot:
-    // a crash between mutation and repair must not lose the patch.
-    let mut cache = ShardedCorpusCache::new(2);
-    for (i, doc) in corpus(12).iter().enumerate() {
-        cache.push(i % 2, doc);
-    }
-    cache.repair();
-    cache.patch(3, &Document::established(33, 0.99).with_age(1));
-    cache.patch(6, &Document::unexplored(66));
-    assert!(
-        cache.dirty_len() > 0,
-        "the cache must actually be mid-dirty"
-    );
-
-    let mut back = roundtrip(&cache);
-    assert_eq!(back.to_value(), cache.to_value());
-    assert_eq!(back.dirty_len(), cache.dirty_len());
-
-    // Both sides repair the same dirty set and land in the same state.
-    assert_eq!(back.repair(), cache.repair());
-    assert_same_cache(&mut back, &mut cache);
-}
-
-#[test]
-fn a_sharded_store_roundtrips_bit_exactly() {
-    let mut store = ShardedStore::new(4);
-    store.extend(corpus(30));
-    store.record_visit(2);
-    store.update_popularity(7, 0.123456789012345);
-
-    let back = roundtrip(&store);
-    assert_eq!(back.to_value(), store.to_value());
-    assert_eq!(back.shard_count(), store.shard_count());
-    assert_same_corpus(&back.snapshot(), &store.snapshot());
-    for shard in 0..store.shard_count() {
-        assert_eq!(
-            back.shard_len(shard).unwrap(),
-            store.shard_len(shard).unwrap()
-        );
-    }
 }
 
 #[test]
@@ -189,42 +55,4 @@ fn an_engine_without_a_version_field_falls_back_to_v1() {
         .expect("a pre-versioning engine still deserializes");
     assert_eq!(legacy.version(), EngineVersion::V1);
     assert_eq!(legacy, engine.with_version(EngineVersion::V1));
-}
-
-proptest! {
-    /// Any push/patch/repair interleaving round-trips: `Value` equality
-    /// plus probe equality, across shard counts.
-    #[test]
-    fn arbitrary_cache_states_roundtrip(
-        docs in prop::collection::vec((0u64..1_000, 0.0f64..1.5, 0u64..200), 1..40),
-        patches in prop::collection::vec((0usize..40, 0.0f64..1.5), 0..10),
-        shards in 1usize..6,
-        repair_before_patch in prop::bool::ANY,
-    ) {
-        let mut cache = ShardedCorpusCache::new(shards);
-        for (i, &(id, popularity, age)) in docs.iter().enumerate() {
-            let doc = if popularity < 0.05 {
-                Document::unexplored(id)
-            } else {
-                Document::established(id, popularity).with_age(age)
-            };
-            cache.push(i % shards, &doc);
-        }
-        if repair_before_patch {
-            cache.repair();
-        }
-        for &(slot, popularity) in &patches {
-            let slot = slot % docs.len();
-            cache.patch(slot, &Document::established(slot as u64, popularity));
-        }
-
-        let mut back = roundtrip(&cache);
-        prop_assert_eq!(back.to_value(), cache.to_value());
-        assert_same_cache(&mut back, &mut cache);
-
-        // And the round trip commutes with repair.
-        back.repair();
-        cache.repair();
-        assert_same_cache(&mut back, &mut cache);
-    }
 }

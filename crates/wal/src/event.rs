@@ -1,5 +1,6 @@
 //! The tagged event vocabulary of the mutation log and its fixed binary
-//! codec.
+//! codec, including the fixed-width document record that the log's insert
+//! events and the snapshot payload share.
 //!
 //! Exactly the three serving-tier mutations exist as events — insert a
 //! document, record a visit, replace a popularity score — because those
@@ -10,6 +11,35 @@
 //! in between.
 
 use rrp_core::Document;
+
+/// Bytes in one encoded [`Document`] record: id ‖ popularity bits ‖
+/// unexplored flag ‖ age, the body of an insert event and one entry of a
+/// snapshot payload.
+pub const DOCUMENT_RECORD_LEN: usize = 25;
+
+/// Append `doc`'s fixed-width record to `out`: id `u64`-le, popularity as
+/// its IEEE bits `u64`-le, the unexplored flag as one byte (0 or 1), age in
+/// days `u64`-le.
+pub fn encode_document(doc: &Document, out: &mut Vec<u8>) {
+    out.extend_from_slice(&doc.id.to_le_bytes());
+    out.extend_from_slice(&doc.popularity.to_bits().to_le_bytes());
+    out.push(doc.is_unexplored as u8);
+    out.extend_from_slice(&doc.age_days.to_le_bytes());
+}
+
+/// Decode one record written by [`encode_document`]. `None` unless `bytes`
+/// is exactly [`DOCUMENT_RECORD_LEN`] long with a flag byte of 0 or 1.
+pub fn decode_document(bytes: &[u8]) -> Option<Document> {
+    if bytes.len() != DOCUMENT_RECORD_LEN || bytes[16] > 1 {
+        return None;
+    }
+    Some(Document {
+        id: read_u64(&bytes[0..8]),
+        popularity: f64::from_bits(read_u64(&bytes[8..16])),
+        is_unexplored: bytes[16] == 1,
+        age_days: read_u64(&bytes[17..25]),
+    })
+}
 
 const TAG_INSERT: u8 = 0;
 const TAG_VISIT: u8 = 1;
@@ -40,10 +70,7 @@ impl WalEvent {
         match *self {
             WalEvent::Insert(doc) => {
                 out.push(TAG_INSERT);
-                out.extend_from_slice(&doc.id.to_le_bytes());
-                out.extend_from_slice(&doc.popularity.to_bits().to_le_bytes());
-                out.push(doc.is_unexplored as u8);
-                out.extend_from_slice(&doc.age_days.to_le_bytes());
+                encode_document(&doc, out);
             }
             WalEvent::Visit { seq } => {
                 out.push(TAG_VISIT);
@@ -63,21 +90,7 @@ impl WalEvent {
     pub fn decode(payload: &[u8]) -> Option<WalEvent> {
         let (&tag, rest) = payload.split_first()?;
         match tag {
-            TAG_INSERT => {
-                if rest.len() != 25 {
-                    return None;
-                }
-                let flag = rest[16];
-                if flag > 1 {
-                    return None;
-                }
-                Some(WalEvent::Insert(Document {
-                    id: read_u64(&rest[0..8]),
-                    popularity: f64::from_bits(read_u64(&rest[8..16])),
-                    is_unexplored: flag == 1,
-                    age_days: read_u64(&rest[17..25]),
-                }))
-            }
+            TAG_INSERT => decode_document(rest).map(WalEvent::Insert),
             TAG_VISIT => {
                 if rest.len() != 8 {
                     return None;

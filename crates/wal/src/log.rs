@@ -196,7 +196,10 @@ impl WalSink for FileSink {
 }
 
 /// Create a fresh log at `path` (truncating anything there) and return
-/// the file positioned after the freshly written header.
+/// the file positioned after the freshly written header. The parent
+/// directory is synced before returning, so the new file's directory
+/// entry is durable by the time the first [`WalSink::sync`] of its
+/// records returns.
 pub fn create_log_file(path: &Path) -> Result<File, WalError> {
     let mut file = OpenOptions::new()
         .read(true)
@@ -208,7 +211,22 @@ pub fn create_log_file(path: &Path) -> Result<File, WalError> {
     header[..8].copy_from_slice(&WAL_MAGIC);
     header[8..].copy_from_slice(&WAL_VERSION.to_le_bytes());
     file.write_all(&header)?;
+    sync_parent_dir(path)?;
     Ok(file)
+}
+
+/// Sync the directory holding `path`, making a create or rename of `path`
+/// durable. A no-op where directories cannot be opened as files (non-Unix
+/// platforms).
+pub(crate) fn sync_parent_dir(path: &Path) -> io::Result<()> {
+    #[cfg(unix)]
+    {
+        let parent = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+        File::open(parent.unwrap_or(Path::new(".")))?.sync_all()?;
+    }
+    #[cfg(not(unix))]
+    let _ = path;
+    Ok(())
 }
 
 /// Reopen an existing log for appending after a scan: truncate to the

@@ -2,9 +2,10 @@
 //! atomic rename-into-place so a crash mid-snapshot can never destroy the
 //! previous good snapshot.
 //!
-//! The payload is whatever the caller serialised (the serving tier stores
-//! engine + store + shard caches as JSON); this module only guarantees
-//! that what [`read_snapshot`] hands back is byte-for-byte what
+//! The payload is opaque here (the serving tier writes a small header
+//! and then its documents as fixed-width binary records, see
+//! `rrp_serve::DurableService`); this module only guarantees that what
+//! [`read_snapshot`] hands back is byte-for-byte what
 //! [`write_snapshot_atomic`] was given, or a typed error — never a
 //! half-written or bit-rotted blob.
 //!
@@ -12,9 +13,14 @@
 //! file := magic "RRPSNAP0" (8 bytes) ‖ version u32-le
 //!         ‖ payload_len u64-le ‖ crc u32-le ‖ payload
 //! ```
+//!
+//! Version 2 marks the document-record payload. A version-1 file (whose
+//! payload was the whole serving tier as JSON) reads as
+//! [`WalError::UnsupportedVersion`], which recovery treats like any other
+//! unverifiable snapshot: it replays the full log instead.
 
 use crate::crc32::crc32;
-use crate::log::WalError;
+use crate::log::{sync_parent_dir, WalError};
 use std::fs::{self, File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -22,7 +28,7 @@ use std::path::{Path, PathBuf};
 /// The eight magic bytes opening every snapshot file.
 pub const SNAPSHOT_MAGIC: [u8; 8] = *b"RRPSNAP0";
 /// The current snapshot envelope version.
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 const ENVELOPE_LEN: usize = 8 + 4 + 8 + 4;
 
@@ -33,25 +39,27 @@ fn tmp_path(path: &Path) -> PathBuf {
 }
 
 /// Write `payload` under `path` atomically: the envelope goes to a
-/// sibling `.tmp` file, is flushed, and only then renamed over `path`.
+/// sibling `.tmp` file, is flushed, and only then renamed over `path`;
+/// the parent directory is synced last so the rename itself is durable.
 /// At every instant `path` holds either the old snapshot or the new one.
 pub fn write_snapshot_atomic(path: &Path, payload: &[u8]) -> Result<(), WalError> {
     let tmp = tmp_path(path);
-    let mut out = Vec::with_capacity(ENVELOPE_LEN + payload.len());
-    out.extend_from_slice(&SNAPSHOT_MAGIC);
-    out.extend_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
-    out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&crc32(payload).to_le_bytes());
-    out.extend_from_slice(payload);
+    let mut envelope = [0u8; ENVELOPE_LEN];
+    envelope[..8].copy_from_slice(&SNAPSHOT_MAGIC);
+    envelope[8..12].copy_from_slice(&SNAPSHOT_VERSION.to_le_bytes());
+    envelope[12..20].copy_from_slice(&(payload.len() as u64).to_le_bytes());
+    envelope[20..].copy_from_slice(&crc32(payload).to_le_bytes());
     let mut file = OpenOptions::new()
         .write(true)
         .create(true)
         .truncate(true)
         .open(&tmp)?;
-    file.write_all(&out)?;
+    file.write_all(&envelope)?;
+    file.write_all(payload)?;
     file.sync_data()?;
     drop(file);
     fs::rename(&tmp, path)?;
+    sync_parent_dir(path)?;
     Ok(())
 }
 
