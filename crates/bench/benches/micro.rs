@@ -13,8 +13,8 @@ use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rrp_core::{Document, QueryContext, RankPromotionEngine, RerankScratch};
 use rrp_model::{new_rng, CommunityConfig, PowerLawQuality, QualityDistribution};
 use rrp_ranking::{
-    PageStats, PoolIndex, PopularityRanking, RandomizedRankPromotion, RankBuffers, RankSource,
-    RankingPolicy,
+    Chunked, PageStats, PoolIndex, PopularityRanking, RandomizedRankPromotion, RankBuffers,
+    RankSource, RankingPolicy,
 };
 use rrp_serve::ShardedPromotionService;
 use rrp_sim::{SimConfig, Simulation};
@@ -74,6 +74,7 @@ fn bench_engine_rerank(c: &mut Criterion) {
         let mut sorted: Vec<usize> = Vec::with_capacity(stats.len());
         PopularityRanking.rank_order_into(&stats, &mut sorted);
         let pool = PoolIndex::build(&stats);
+        let stats: Chunked<PageStats> = stats.into_iter().collect();
         let mut buffers = RankBuffers::with_capacity(n);
         let mut slots = Vec::with_capacity(n);
         group.bench_with_input(BenchmarkId::from_parameter(n), &docs, |b, docs| {
@@ -167,9 +168,10 @@ fn bench_ranking_policies(c: &mut Criterion) {
     let mut sorted: Vec<usize> = Vec::with_capacity(stats.len());
     PopularityRanking.rank_order_into(&stats, &mut sorted);
     let pool = PoolIndex::build(&stats);
+    let chunked: Chunked<PageStats> = stats.iter().copied().collect();
     group.bench_function("selective_promotion_presorted", |b| {
         b.iter(|| {
-            let source = RankSource::pooled(&stats, &sorted, &pool);
+            let source = RankSource::pooled(&chunked, &sorted, &pool);
             promo.rank_into(source, None, &mut rng, &mut buffers, &mut out);
             black_box(out.last().copied())
         })

@@ -121,6 +121,13 @@ impl RankPromotionEngine {
         self.config.rule == PromotionRule::Selective
     }
 
+    /// Whether ranking with this `limit` copies the whole promotion pool
+    /// off the source (see
+    /// [`RandomizedRankPromotion::copies_pool`]).
+    pub fn copies_pool(&self, limit: Option<usize>) -> bool {
+        self.policy().copies_pool(limit)
+    }
+
     /// The canonical mapping from host-engine [`Document`]s to the
     /// [`PageStats`] the ranking layer consumes, written into `stats`
     /// (cleared first). Exposed so batch servers can build the snapshot
@@ -462,25 +469,17 @@ mod tests {
         cache
     }
 
-    /// The cache's pool membership as a plain mask (the merged source's
-    /// membership input).
-    fn pool_mask(cache: &CorpusCache) -> Vec<bool> {
-        (0..cache.len()).map(|s| cache.pool().contains(s)).collect()
-    }
-
     #[test]
     fn pooled_and_cached_paths_match_the_scanning_path() {
         let docs = corpus();
         let engine = RankPromotionEngine::recommended().with_seed(21);
         let cache = cached(&docs);
-        let mask = pool_mask(&cache);
         let rest: Vec<usize> = cache
             .order()
             .iter()
-            .copied()
-            .filter(|&s| !mask[s])
+            .filter(|&s| !cache.pool().contains(s))
             .collect();
-        let retrieved = RankSource::retrieved(cache.pool().members(), &rest);
+        let retrieved = RankSource::retrieved(cache.pool(), &rest);
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
         for q in 0..40u64 {
@@ -506,8 +505,8 @@ mod tests {
         ];
         for engine in engines {
             let cache = cached(&docs);
-            let mask = pool_mask(&cache);
-            let merged = RankSource::merged(cache.pool().members(), &mask, cache.order());
+            let order = cache.order().to_vec();
+            let merged = RankSource::merged(cache.pool(), &order);
             let mut buffers = RankBuffers::new();
             let mut out = Vec::new();
             for q in 0..20u64 {
@@ -532,7 +531,7 @@ mod tests {
         assert_eq!(v2.config(), v1.config());
 
         let cache = cached(&docs);
-        let mask = pool_mask(&cache);
+        let order = cache.order().to_vec();
         let mut buffers = RankBuffers::new();
         let (mut pooled, mut merged) = (Vec::new(), Vec::new());
         let mut diverged = false;
@@ -547,7 +546,7 @@ mod tests {
             let pooled_ids: Vec<u64> = pooled.iter().map(|&s| docs[s].id).collect();
             assert_eq!(pooled_ids, top, "cached≡rerank_top_k, q={q}");
             v2.rank_into(
-                RankSource::merged(cache.pool().members(), &mask, cache.order()),
+                RankSource::merged(cache.pool(), &order),
                 Some(k),
                 ctx,
                 &mut buffers,

@@ -28,6 +28,9 @@ pub struct RankBuffers {
     pub(crate) mask: Vec<bool>,
     /// Per-slot seen mask for permutation validation.
     pub(crate) seen: Vec<bool>,
+    /// A flat copy of chunked per-slot statistics, for the policies that
+    /// sort or shuffle the whole corpus.
+    pub(crate) pages: Vec<crate::PageStats>,
     /// Sparse `(index, value)` overlay for the v2 lazy pool shuffle
     /// ([`LazyShuffle`](crate::LazyShuffle)): at most `k` entries per
     /// top-`k` query, reused across queries for its capacity.
@@ -58,6 +61,7 @@ impl RankBuffers {
             rest: Vec::with_capacity(n),
             mask: Vec::with_capacity(n),
             seen: Vec::with_capacity(n),
+            pages: Vec::new(),
             overlay: Vec::new(),
             mask_resets: 0,
             pool_draws: 0,

@@ -18,6 +18,7 @@
 //! exactly the entries it set, so a repair costs nothing proportional to
 //! the corpus size beyond the indexes' own passes.
 
+use crate::chunked::Chunked;
 use crate::poolindex::PoolIndex;
 use crate::popindex::PopularityIndex;
 use crate::source::RankSource;
@@ -26,21 +27,28 @@ use crate::stats::PageStats;
 /// The persistent ranking caches over one corpus: statistics snapshot,
 /// popularity order, and promotion-pool membership, repaired together from
 /// one dirty list.
+///
+/// All three are chunked copy-on-write structures, so cloning them (see
+/// [`stats`](Self::stats), [`order`](Self::order), [`pool`](Self::pool))
+/// shares every chunk, and a later patch copies only the chunks it
+/// touches.
 #[derive(Debug, Clone, Default)]
 pub struct CorpusCache {
     /// `PageStats` for each slot (`stats[i].slot == i`), patched in place
     /// on mutation.
-    stats: Vec<PageStats>,
-    /// Popularity order over the slots, repaired via dirty-slot
-    /// binary-search reinsertion.
+    stats: Chunked<PageStats>,
+    /// Popularity order over the slots, repaired block by block.
     popularity: PopularityIndex,
-    /// Selective-promotion pool membership (unexplored slots, ascending),
-    /// repaired from the same dirty slots.
+    /// Selective-promotion pool membership, repaired from the same dirty
+    /// slots.
     pool: PoolIndex,
     /// Slots whose stats changed (or appeared) since the last repair —
     /// deduplicated on entry via `dirty_mask`, so the list is bounded by
     /// the corpus size no matter how long repairs are deferred.
     dirty: Vec<usize>,
+    /// The stats each dirty slot that is already in the order had when it
+    /// went dirty: the key the order still files it under.
+    moved: Vec<PageStats>,
     /// Per-slot "already in `dirty`" mask; all-false right after a repair.
     dirty_mask: Vec<bool>,
 }
@@ -66,15 +74,15 @@ impl CorpusCache {
 
     /// The per-slot statistics snapshot.
     #[inline]
-    pub fn stats(&self) -> &[PageStats] {
+    pub fn stats(&self) -> &Chunked<PageStats> {
         &self.stats
     }
 
     /// The popularity order (best rank first). Only current after
     /// [`repair`](Self::repair); ranking paths call that first.
     #[inline]
-    pub fn order(&self) -> &[usize] {
-        self.popularity.order()
+    pub fn order(&self) -> &PopularityIndex {
+        &self.popularity
     }
 
     /// The promotion-pool membership index. Only current after
@@ -88,7 +96,7 @@ impl CorpusCache {
     /// maintained structures. Only current after [`repair`](Self::repair).
     #[inline]
     pub fn view(&self) -> RankSource<'_> {
-        RankSource::pooled(&self.stats, self.popularity.order(), &self.pool)
+        RankSource::pooled(&self.stats, &self.popularity, &self.pool)
     }
 
     /// Number of dirty slots awaiting the next repair (deduplicated on
@@ -97,6 +105,12 @@ impl CorpusCache {
     #[inline]
     pub fn dirty_len(&self) -> usize {
         self.dirty.len()
+    }
+
+    /// Chunks copied on write — stats leaves and pool words by patches,
+    /// order blocks by repairs — since the last call.
+    pub fn take_copies(&mut self) -> u64 {
+        self.stats.take_copies() + self.popularity.take_copies() + self.pool.take_copies()
     }
 
     /// Append `stat` as the next slot (`O(1)`); it joins both indexes at
@@ -116,10 +130,11 @@ impl CorpusCache {
     /// the corpus size).
     pub fn patch(&mut self, slot: usize, stat: PageStats) {
         debug_assert_eq!(stat.slot, slot, "slots are dense");
-        self.stats[slot] = stat;
+        let old = std::mem::replace(self.stats.get_mut(slot), stat);
         if !self.dirty_mask[slot] {
             self.dirty_mask[slot] = true;
             self.dirty.push(slot);
+            self.moved.push(old);
         }
     }
 
@@ -131,8 +146,9 @@ impl CorpusCache {
         self.stats.clear();
         self.stats.extend(stats);
         self.popularity.rebuild(&self.stats);
-        self.pool.rebuild(&self.stats);
+        self.pool.rebuild(self.stats.iter());
         self.dirty.clear();
+        self.moved.clear();
         self.dirty_mask.clear();
         self.dirty_mask.resize(self.stats.len(), false);
     }
@@ -142,20 +158,23 @@ impl CorpusCache {
     /// handed to the repair. Every ranking path calls this first.
     ///
     /// Both indexes end up exactly where a from-scratch derivation would
-    /// put them; each repair carries its own debug assertion against the
-    /// fresh derivation, so a producer that mutates stats without marking
-    /// the slot dirty trips here.
+    /// put them; debug builds check each against the fresh derivation, so
+    /// a producer that mutates stats without marking the slot dirty trips
+    /// here.
     pub fn repair(&mut self) -> u64 {
         let handed = self.dirty.len() as u64;
         if handed > 0 {
-            self.pool.repair(&self.stats, &self.dirty, &self.dirty_mask);
-            self.popularity
-                .repair(&self.stats, &mut self.dirty, &self.dirty_mask);
+            let stats = &self.stats;
+            self.pool.repair(stats, &self.dirty);
+            self.popularity.repair(stats, &mut self.dirty, &self.moved);
+            debug_assert!(self.pool.is_consistent(stats));
+            debug_assert!(self.popularity.is_consistent(stats));
             // `O(d)`: exactly the entries set since the last repair.
             for &slot in &self.dirty {
                 self.dirty_mask[slot] = false;
             }
             self.dirty.clear();
+            self.moved.clear();
         }
         handed
     }
@@ -189,6 +208,7 @@ mod tests {
         assert_eq!(cache.stats(), fresh.stats());
         assert_eq!(cache.order(), fresh.order());
         assert_eq!(cache.pool().members(), fresh.pool().members());
+        assert!(cache.pool().is_consistent(cache.stats()));
     }
 
     fn pushed(stats: &[PageStats]) -> CorpusCache {
@@ -231,7 +251,7 @@ mod tests {
         assert!(!cache.pool().contains(0));
         assert!(cache.pool().contains(40));
         assert!(
-            cache.order().windows(2).all(|w| popularity_order(
+            cache.order().to_vec().windows(2).all(|w| popularity_order(
                 &cache.stats()[w[0]],
                 &cache.stats()[w[1]]
             )
@@ -279,7 +299,7 @@ mod tests {
         let ps = stats(12);
         let mut cache = pushed(&ps);
         cache.repair();
-        cache.stats[0].awareness = 1.0; // never marked dirty
+        cache.stats.get_mut(0).awareness = 1.0; // never marked dirty
         cache.patch(3, ps[3]);
         cache.repair();
     }

@@ -24,8 +24,8 @@
 //! the per-query path cheap: the *rest* prefix depends on `k` and must be
 //! retrieved per query (it is `O(k)` per shard), while the *pool* half is
 //! query-independent — membership moves only when a mutation flips a
-//! slot — so a serving tier merges it once per repair and reuses it
-//! across every query in between (see
+//! slot — so a serving tier maintains the global pool from membership
+//! flips and reuses it across every query in between (see
 //! [`ShardCandidates::collect_rest`]). Only the rest entries carry
 //! [`PageStats`] copies (the merge needs their sort keys); pool
 //! candidates are bare global slots, so the pool half of a merge is a
@@ -44,7 +44,9 @@
 //! stopped. Either way no unseen element could have preceded an emitted
 //! one.
 
+use crate::chunked::Chunked;
 use crate::poolindex::PoolIndex;
+use crate::source::OrderView;
 use crate::stats::{popularity_order, PageStats};
 
 /// One shard's candidate set: everything the top-`k` promotion merge
@@ -79,56 +81,64 @@ impl ShardCandidates {
     /// Fill this set from a shard's maintained state — its stats
     /// snapshot `pages`, their popularity `order` and the `pool` index:
     /// copy the pool members (ascending local slot) and filter the order
-    /// through the pool mask, stopping after `limit` non-pool matches —
+    /// through the pool, stopping after `limit` non-pool matches —
     /// `O(pool + limit)`, no per-corpus work. Each entry is relabeled
     /// through `global_slots` (local slot → global slot), which must be
     /// strictly increasing so that shard-local order agrees with the
     /// global order's slot tie-break.
-    pub fn collect(
+    pub fn collect<'a>(
         &mut self,
-        pages: &[PageStats],
-        order: &[usize],
+        pages: &Chunked<PageStats>,
+        order: impl Into<OrderView<'a>>,
         pool: &PoolIndex,
         limit: usize,
-        global_slots: &[usize],
+        global_slots: &Chunked<usize>,
     ) {
         self.collect_rest(pages, order, pool, limit, global_slots);
         self.pool
-            .extend(pool.members().iter().map(|&local| global_slots[local]));
+            .extend(pool.iter().map(|local| global_slots.get(local)));
     }
 
     /// [`collect`](Self::collect) without the pool half — the steady-state
     /// serving path: pool membership changes only on mutation, so its
-    /// owner merges the pools once per repair (a sharded serving tier
-    /// keeps the result) and per query only the `O(limit)` rest prefix is
-    /// retrieved. Leaves `pool` empty.
-    pub fn collect_rest(
+    /// owner maintains the global pool and per query only the `O(limit)`
+    /// rest prefix is retrieved. Leaves `pool` empty.
+    pub fn collect_rest<'a>(
         &mut self,
-        pages: &[PageStats],
-        order: &[usize],
+        pages: &Chunked<PageStats>,
+        order: impl Into<OrderView<'a>>,
         pool: &PoolIndex,
         limit: usize,
-        global_slots: &[usize],
+        global_slots: &Chunked<usize>,
     ) {
+        let order = order.into();
         self.pool.clear();
         debug_assert_eq!(global_slots.len(), pages.len());
-        debug_assert!(global_slots.windows(2).all(|w| w[0] < w[1]));
+        debug_assert!(global_slots
+            .iter()
+            .zip(global_slots.iter().skip(1))
+            .all(|(a, b)| a < b));
         debug_assert!(
             pool.is_consistent(pages),
             "candidate retrieval requires a maintained pool index"
         );
         self.rest.clear();
-        self.rest.extend(
-            order
-                .iter()
-                .filter(|&&local| !pool.contains(local))
-                .take(limit)
-                .map(|&local| {
-                    let mut stat = pages[local];
-                    stat.slot = global_slots[local];
-                    stat
-                }),
-        );
+        if limit == 0 {
+            return;
+        }
+        for block in order.slices() {
+            for &local in block {
+                if pool.contains(local) {
+                    continue;
+                }
+                let mut stat = pages.get(local);
+                stat.slot = global_slots.get(local);
+                self.rest.push(stat);
+                if self.rest.len() == limit {
+                    return;
+                }
+            }
+        }
     }
 }
 
@@ -170,13 +180,10 @@ impl MergedCandidates {
 }
 
 /// K-way merge of disjoint ascending global-slot streams into `out`
-/// (cleared first) — the pool half of the candidate merge, factored out
-/// so the repair-time maintained pool merge (a
-/// `ShardedCorpusCache`'s) runs the *same* procedure as the per-query
-/// candidate form and the two can never diverge. `stream_len(s)` and
+/// (cleared first) — the pool half of the candidate merge. `stream_len(s)` and
 /// `slot_at(s, i)` describe stream `s`; `heads` is caller scratch
 /// (cursor per stream, reused across calls).
-pub fn merge_ascending_slots_into(
+fn merge_ascending_slots_into(
     streams: usize,
     stream_len: impl Fn(usize) -> usize,
     slot_at: impl Fn(usize, usize) -> usize,
@@ -333,8 +340,8 @@ mod tests {
     /// Partition `stats` into `shards` shard-local corpora (dense local
     /// slots) by a deterministic routing, returning per-shard stats and
     /// the local→global slot maps.
-    fn partition(stats: &[PageStats], shards: usize) -> Vec<(Vec<PageStats>, Vec<usize>)> {
-        let mut out: Vec<(Vec<PageStats>, Vec<usize>)> = vec![Default::default(); shards];
+    fn partition(stats: &[PageStats], shards: usize) -> Vec<(Vec<PageStats>, Chunked<usize>)> {
+        let mut out: Vec<(Vec<PageStats>, Chunked<usize>)> = vec![Default::default(); shards];
         for stat in stats {
             let shard = (stat.slot * 7 + 3) % shards;
             let (locals, globals) = &mut out[shard];
@@ -353,7 +360,13 @@ mod tests {
                 let order = PopularityIndex::build(locals);
                 let pool = PoolIndex::build(locals);
                 let mut candidates = ShardCandidates::new();
-                candidates.collect(locals, order.order(), &pool, limit, globals);
+                candidates.collect(
+                    &locals.iter().copied().collect(),
+                    &order,
+                    &pool,
+                    limit,
+                    globals,
+                );
                 candidates
             })
             .collect()
@@ -378,9 +391,7 @@ mod tests {
         let pool = PoolIndex::build(&stats);
         for limit in [0usize, 1, 4, 11, 100] {
             let expected: Vec<usize> = order
-                .order()
                 .iter()
-                .copied()
                 .filter(|&s| !pool.contains(s))
                 .take(limit)
                 .collect();
@@ -397,13 +408,13 @@ mod tests {
     #[test]
     fn merged_complete_orders_equal_the_global_popularity_order() {
         let stats = corpus(40);
-        let expected = PopularityIndex::build(&stats).order().to_vec();
+        let expected = PopularityIndex::build(&stats).to_vec();
         let (mut heads, mut out) = (Vec::new(), Vec::new());
         for shards in [1usize, 2, 3, 8] {
             let parts = partition(&stats, shards);
             let orders: Vec<Vec<usize>> = parts
                 .iter()
-                .map(|(locals, _)| PopularityIndex::build(locals).order().to_vec())
+                .map(|(locals, _)| PopularityIndex::build(locals).to_vec())
                 .collect();
             merge_shard_orders_into(
                 shards,
@@ -435,7 +446,8 @@ mod tests {
                     let order = PopularityIndex::build(locals);
                     let pool = PoolIndex::build(locals);
                     let mut candidates = ShardCandidates::new();
-                    candidates.collect_rest(locals, order.order(), &pool, 6, globals);
+                    let locals = locals.iter().copied().collect();
+                    candidates.collect_rest(&locals, &order, &pool, 6, globals);
                     candidates
                 })
                 .collect();
@@ -461,9 +473,7 @@ mod tests {
         let order = PopularityIndex::build(&stats);
         let pool = PoolIndex::build(&stats);
         let expected: Vec<usize> = order
-            .order()
             .iter()
-            .copied()
             .filter(|&s| !pool.contains(s))
             .take(6)
             .collect();

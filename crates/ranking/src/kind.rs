@@ -78,17 +78,21 @@ impl PolicyKind {
                 self.name()
             ),
             PolicyKind::Popularity => {
-                let order = source.order;
                 out.clear();
-                out.extend_from_slice(&order[..limit.map_or(order.len(), |k| k.min(order.len()))]);
+                out.extend(source.order.iter().take(limit.unwrap_or(usize::MAX)));
             }
             PolicyKind::QualityOracle | PolicyKind::FullyRandom => {
-                let Some(pages) = source.pages else {
-                    panic!(
+                let pages = match source.pages {
+                    Some(pages) => {
+                        buffers.pages.clear();
+                        buffers.pages.extend(pages.iter());
+                        &buffers.pages
+                    }
+                    None => panic!(
                         "{} does not rank from merged shard state; it reads per-page state \
                          the popularity-ordered merge does not carry",
                         self.name()
-                    )
+                    ),
                 };
                 if *self == PolicyKind::QualityOracle {
                     QualityOracleRanking.rank_order_into(pages, out);
@@ -277,15 +281,16 @@ mod tests {
         let mut sorted: Vec<usize> = (0..ps.len()).collect();
         sorted.sort_unstable_by(|&a, &b| popularity_order(&ps[a], &ps[b]));
         let pool = crate::PoolIndex::build(&ps);
+        let stats: crate::Chunked<PageStats> = ps.iter().copied().collect();
         let rest: Vec<usize> = sorted
             .iter()
             .copied()
             .filter(|&s| !pool.contains(s))
             .collect();
         let source = match column {
-            Column::Pooled => RankSource::pooled(&ps, &sorted, &pool),
-            Column::Merged => RankSource::merged(pool.members(), pool.mask(), &sorted),
-            Column::Retrieved => RankSource::retrieved(pool.members(), &rest),
+            Column::Pooled => RankSource::pooled(&stats, &sorted, &pool),
+            Column::Merged => RankSource::merged(&pool, &sorted),
+            Column::Retrieved => RankSource::retrieved(&pool, &rest),
         };
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
@@ -352,13 +357,14 @@ mod tests {
 
         assert_column_matches_reference(Column::Retrieved, ALL_LIMITS);
         let ps = pages();
+        let global_pool = PoolIndex::build(&ps);
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
         let mut merged = MergedCandidates::new();
         let mut rest = Vec::new();
         for shards in [1usize, 2, 4] {
             let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
-            let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
+            let mut globals: Vec<crate::Chunked<usize>> = vec![Default::default(); shards];
             for p in &ps {
                 let shard = (p.slot * 11 + 2) % shards;
                 let mut local = *p;
@@ -376,17 +382,19 @@ mod tests {
                             let order = PopularityIndex::build(&locals[s]);
                             let pool = PoolIndex::build(&locals[s]);
                             let mut c = ShardCandidates::new();
-                            c.collect(&locals[s], order.order(), &pool, k, &globals[s]);
+                            let stats = locals[s].iter().copied().collect();
+                            c.collect(&stats, &order, &pool, k, &globals[s]);
                             c
                         })
                         .collect();
                     merge_shard_candidates_into(&candidates, k, &mut merged);
                     rest.clear();
                     rest.extend(merged.rest().iter().map(|p| p.slot));
+                    assert_eq!(merged.pool(), global_pool.members());
                     for seed in 0..5 {
                         let full = kind.rank(&ps, &mut new_rng(seed));
                         kind.rank_into(
-                            RankSource::retrieved(merged.pool(), &rest),
+                            RankSource::retrieved(&global_pool, &rest),
                             Some(k),
                             &mut new_rng(seed),
                             &mut buffers,
@@ -408,7 +416,7 @@ mod tests {
     #[should_panic(expected = "does not rank from merged shard state")]
     fn merged_dispatch_rejects_per_page_state_kinds() {
         PolicyKind::QualityOracle.rank_into(
-            RankSource::merged(&[], &[], &[]),
+            RankSource::merged(&crate::PoolIndex::default(), &[]),
             None,
             &mut new_rng(0),
             &mut RankBuffers::new(),
@@ -420,7 +428,7 @@ mod tests {
     #[should_panic(expected = "does not rank from shard candidates")]
     fn candidate_dispatch_rejects_whole_corpus_kinds() {
         PolicyKind::FullyRandom.rank_into(
-            RankSource::retrieved(&[], &[]),
+            RankSource::retrieved(&crate::PoolIndex::default(), &[]),
             Some(3),
             &mut new_rng(0),
             &mut RankBuffers::new(),

@@ -9,41 +9,20 @@
 //! order in a [`OnceLock`] so the first full-order consumer of a version
 //! runs the merge exactly once (concurrent callers block and then read the
 //! same slice), and every later read is a plain pointer load.
-//!
-//! Versions come and go with mutation epochs, so the type also carries a
-//! *seed buffer*: the retiring version's order storage can be handed to the
-//! next version ([`with_seed`](SharedLazyOrder::with_seed) /
-//! [`into_buffer`](SharedLazyOrder::into_buffer)), which keeps the
-//! steady-state merge allocation-free just like the old single-owner
-//! `ensure_merged_order` arena.
 
-use std::sync::{Mutex, OnceLock};
+use std::sync::OnceLock;
 
-/// An initialise-once merged slot order shared across reader threads, with
-/// a recyclable storage buffer.
+/// An initialise-once merged slot order shared across reader threads.
 #[derive(Debug, Default)]
 pub struct SharedLazyOrder {
     /// The merged order, set exactly once by the first consumer.
     order: OnceLock<Vec<usize>>,
-    /// Storage for the merge, recycled from a retired instance; taken by
-    /// the initialising consumer.
-    seed: Mutex<Vec<usize>>,
 }
 
 impl SharedLazyOrder {
-    /// An unmerged order with empty storage.
+    /// An unmerged order.
     pub fn new() -> Self {
         SharedLazyOrder::default()
-    }
-
-    /// An unmerged order seeded with recycled storage (typically a retired
-    /// instance's [`into_buffer`](Self::into_buffer)); the merge reuses its
-    /// capacity.
-    pub fn with_seed(buffer: Vec<usize>) -> Self {
-        SharedLazyOrder {
-            order: OnceLock::new(),
-            seed: Mutex::new(buffer),
-        }
     }
 
     /// The merged order if some consumer already forced it, without
@@ -53,28 +32,19 @@ impl SharedLazyOrder {
     }
 
     /// The merged order, forcing the merge on first call: `merge` receives
-    /// the (cleared-by-convention) seed buffer and must leave the complete
-    /// order in it. Returns the order and whether *this* call ran the
-    /// merge — exactly one caller per instance observes `true`, which is
-    /// what an `order_merges` probe counts.
+    /// an empty buffer and must leave the complete order in it. Returns
+    /// the order and whether *this* call ran the merge — exactly one
+    /// caller per instance observes `true`, which is what an
+    /// `order_merges` probe counts.
     pub fn get_or_merge(&self, merge: impl FnOnce(&mut Vec<usize>)) -> (&[usize], bool) {
         let mut ran = false;
         let order = self.order.get_or_init(|| {
             ran = true;
-            let mut buffer = std::mem::take(&mut *self.seed.lock().expect("seed buffer lock"));
+            let mut buffer = Vec::new();
             merge(&mut buffer);
             buffer
         });
         (order.as_slice(), ran)
-    }
-
-    /// Tear down into reusable storage: the merged order's buffer if the
-    /// merge ran, otherwise the untouched seed — either way the capacity
-    /// survives into the next instance.
-    pub fn into_buffer(self) -> Vec<usize> {
-        self.order
-            .into_inner()
-            .unwrap_or_else(|| self.seed.into_inner().expect("seed buffer lock"))
     }
 }
 
@@ -112,27 +82,5 @@ mod tests {
             }
         });
         assert_eq!(merges.into_inner(), 1, "exactly one thread merges");
-    }
-
-    #[test]
-    fn seed_storage_is_recycled_across_instances() {
-        let mut seeded = SharedLazyOrder::with_seed(Vec::with_capacity(1024));
-        for _ in 0..3 {
-            let (order, ran) = seeded.get_or_merge(|buf| {
-                buf.clear();
-                buf.extend(0..10usize);
-            });
-            assert!(ran);
-            assert_eq!(order.len(), 10);
-            let buffer = seeded.into_buffer();
-            assert!(
-                buffer.capacity() >= 1024,
-                "the original storage survives recycling"
-            );
-            seeded = SharedLazyOrder::with_seed(buffer);
-        }
-        // An unforced instance hands back the seed itself.
-        let idle = SharedLazyOrder::with_seed(Vec::with_capacity(512));
-        assert!(idle.into_buffer().capacity() >= 512);
     }
 }

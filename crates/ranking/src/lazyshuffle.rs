@@ -19,6 +19,7 @@
 //! systems version observable schedules — a new protocol version is
 //! validated for equivalence, never silently swapped in.
 
+use crate::poolindex::PoolIndex;
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
@@ -65,9 +66,9 @@ pub enum EngineVersion {
 /// property suite pins.
 #[derive(Debug)]
 pub struct LazyShuffle<'a> {
-    /// The pool in its pre-shuffle order (ascending slot for the serving
-    /// tier). Never mutated; displaced values live in the overlay.
-    members: &'a [usize],
+    /// The pool, read by position in its pre-shuffle (ascending slot)
+    /// order. Never mutated; displaced values live in the overlay.
+    members: &'a PoolIndex,
     /// Sparse `(index, value)` patches over `members`, scanned linearly —
     /// it holds at most one entry per consumed position, so for a top-`k`
     /// query it never exceeds `k` entries.
@@ -82,7 +83,7 @@ impl<'a> LazyShuffle<'a> {
     /// Start a lazy shuffle over `members`, parking displaced values in
     /// `overlay` (cleared first; the caller owns it so its capacity is
     /// reused across queries).
-    pub fn new(members: &'a [usize], overlay: &'a mut Vec<(usize, usize)>) -> Self {
+    pub fn new(members: &'a PoolIndex, overlay: &'a mut Vec<(usize, usize)>) -> Self {
         overlay.clear();
         LazyShuffle {
             members,
@@ -145,7 +146,7 @@ impl<'a> LazyShuffle<'a> {
     fn take(&mut self, index: usize) -> usize {
         match self.overlay.iter().position(|&(i, _)| i == index) {
             Some(at) => self.overlay.swap_remove(at).1,
-            None => self.members[index],
+            None => self.members.select(index),
         }
     }
 
@@ -156,7 +157,7 @@ impl<'a> LazyShuffle<'a> {
             Some(entry) => std::mem::replace(&mut entry.1, value),
             None => {
                 self.overlay.push((index, value));
-                self.members[index]
+                self.members.select(index)
             }
         }
     }
@@ -242,16 +243,27 @@ mod tests {
     use super::*;
     use rrp_model::new_rng;
 
+    /// A pool index whose members are exactly `members`.
+    fn pool(members: &[usize]) -> PoolIndex {
+        let mut index = PoolIndex::default();
+        for &slot in members {
+            index.set(slot, true);
+        }
+        index.refresh();
+        index
+    }
+
     #[test]
     fn full_consumption_reproduces_the_eager_forward_shuffle() {
         for n in [0usize, 1, 2, 3, 7, 30, 100] {
             let members: Vec<usize> = (100..100 + n).collect();
+            let index = pool(&members);
             for seed in 0..50 {
                 let mut eager = members.clone();
                 forward_shuffle(&mut eager, &mut new_rng(seed));
 
                 let mut overlay = Vec::new();
-                let mut lazy = LazyShuffle::new(&members, &mut overlay);
+                let mut lazy = LazyShuffle::new(&index, &mut overlay);
                 let mut rng = new_rng(seed);
                 let mut emitted = Vec::new();
                 while let Some(v) = lazy.next_front(&mut rng) {
@@ -264,7 +276,7 @@ mod tests {
 
     #[test]
     fn prefix_consumption_draws_once_per_position_except_the_last() {
-        let members: Vec<usize> = (0..40).collect();
+        let members = pool(&(0..40).collect::<Vec<_>>());
         for consumed in [0usize, 1, 5, 39, 40] {
             let mut overlay = Vec::new();
             let mut lazy = LazyShuffle::new(&members, &mut overlay);
@@ -280,7 +292,7 @@ mod tests {
 
     #[test]
     fn overlay_never_exceeds_the_number_of_consumptions() {
-        let members: Vec<usize> = (0..1000).collect();
+        let members = pool(&(0..1000).collect::<Vec<_>>());
         let mut overlay = Vec::new();
         let mut lazy = LazyShuffle::new(&members, &mut overlay);
         let mut rng = new_rng(3);
@@ -296,7 +308,7 @@ mod tests {
 
     #[test]
     fn exhausted_shuffle_returns_none_and_stops_drawing() {
-        let members = [7usize, 8];
+        let members = pool(&[7, 8]);
         let mut overlay = Vec::new();
         let mut lazy = LazyShuffle::new(&members, &mut overlay);
         let mut rng = new_rng(0);
@@ -313,7 +325,8 @@ mod tests {
     #[test]
     fn empty_pool_is_immediately_exhausted() {
         let mut overlay = vec![(3, 4)]; // stale scratch must be cleared
-        let mut lazy = LazyShuffle::new(&[], &mut overlay);
+        let empty = PoolIndex::default();
+        let mut lazy = LazyShuffle::new(&empty, &mut overlay);
         assert!(lazy.is_empty());
         assert_eq!(lazy.remaining(), 0);
         assert!(lazy.next_front(&mut new_rng(0)).is_none());
@@ -323,7 +336,7 @@ mod tests {
     #[test]
     fn lazy_merge_emits_min_k_total_entries() {
         let deterministic = [1usize, 2, 3];
-        let members = [10usize, 11];
+        let members = pool(&[10, 11]);
         let mut overlay = Vec::new();
         let mut out = Vec::new();
         for k in [0usize, 1, 3, 5, 10] {
@@ -344,7 +357,7 @@ mod tests {
     #[test]
     fn lazy_merge_protects_the_deterministic_prefix() {
         let deterministic: Vec<usize> = (0..10).collect();
-        let members: Vec<usize> = (10..20).collect();
+        let members = pool(&(10..20).collect::<Vec<_>>());
         let mut overlay = Vec::new();
         let mut out = Vec::new();
         for seed in 0..30 {
@@ -365,7 +378,7 @@ mod tests {
     #[test]
     fn lazy_merge_with_zero_degree_is_the_deterministic_list() {
         let deterministic: Vec<usize> = (0..6).collect();
-        let members: Vec<usize> = (6..12).collect();
+        let members = pool(&(6..12).collect::<Vec<_>>());
         let mut overlay = Vec::new();
         let mut out = Vec::new();
         let mut lazy = LazyShuffle::new(&members, &mut overlay);
@@ -385,7 +398,7 @@ mod tests {
     #[test]
     fn lazy_merge_draws_at_most_k_swaps() {
         let deterministic: Vec<usize> = (0..50).collect();
-        let members: Vec<usize> = (50..10_050).collect(); // a big pool
+        let members = pool(&(50..10_050).collect::<Vec<_>>()); // a big pool
         let mut overlay = Vec::new();
         let mut out = Vec::new();
         for seed in 0..20 {

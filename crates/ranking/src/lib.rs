@@ -34,6 +34,7 @@
 pub mod buffers;
 pub mod cache;
 pub mod candidates;
+pub mod chunked;
 pub mod deterministic;
 pub mod kind;
 pub mod lazy;
@@ -50,9 +51,9 @@ pub mod stats;
 pub use buffers::RankBuffers;
 pub use cache::CorpusCache;
 pub use candidates::{
-    merge_ascending_slots_into, merge_shard_candidates_into, merge_shard_orders_into,
-    MergedCandidates, ShardCandidates,
+    merge_shard_candidates_into, merge_shard_orders_into, MergedCandidates, ShardCandidates,
 };
+pub use chunked::Chunked;
 pub use deterministic::{FullyRandomRanking, PopularityRanking, QualityOracleRanking};
 pub use kind::PolicyKind;
 pub use lazy::SharedLazyOrder;
@@ -65,5 +66,5 @@ pub use poolindex::PoolIndex;
 pub use popindex::PopularityIndex;
 pub use promotion::{PromotionConfig, PromotionRule};
 pub use randomized::RandomizedRankPromotion;
-pub use source::RankSource;
+pub use source::{OrderView, RankSource};
 pub use stats::{popularity_order, PageStats};

@@ -112,6 +112,16 @@ impl RandomizedRankPromotion {
         }
     }
 
+    /// Whether [`rank_into`](Self::rank_into) copies the whole promotion
+    /// pool off its source for this `limit`: the Selective rule does,
+    /// except for a v2 top-`k`, which reads at most `k` members by
+    /// position. A serving tier lists its pool once per version for such
+    /// ranks instead of walking the membership bits per query.
+    pub fn copies_pool(&self, limit: Option<usize>) -> bool {
+        self.config.rule == PromotionRule::Selective
+            && !(self.version == EngineVersion::V2 && limit.is_some())
+    }
+
     /// Rank `source` into `out` (slots, best rank first): all of them for
     /// `limit = None`, else the first `min(k, n)` ranks of `limit =
     /// Some(k)`, with the coin-flip merge stopped at rank `k`.
@@ -149,7 +159,7 @@ impl RandomizedRankPromotion {
             degree,
         } = self.config;
         match (rule, limit) {
-            (PromotionRule::Selective, Some(k)) if self.version == EngineVersion::V2 => {
+            (PromotionRule::Selective, Some(k)) if !self.copies_pool(limit) => {
                 debug_assert!(source.pool_matches_pages());
                 let draws = {
                     let RankBuffers { rest, overlay, .. } = &mut *buffers;
@@ -167,7 +177,7 @@ impl RandomizedRankPromotion {
                 debug_assert!(source.pool_matches_pages());
                 let RankBuffers { pool, rest, .. } = &mut *buffers;
                 pool.clear();
-                pool.extend_from_slice(source.pool);
+                source.pool.extend_members(pool);
                 source.fill_rest(limit.unwrap_or(usize::MAX), rest);
             }
             (PromotionRule::Uniform, _) => {
@@ -187,7 +197,7 @@ impl RandomizedRankPromotion {
                         pool.push(slot);
                     }
                 }
-                fill_rest(source.order, Some(mask), limit.unwrap_or(usize::MAX), rest);
+                fill_rest(source.order, |s| mask[s], limit.unwrap_or(usize::MAX), rest);
             }
         }
         let RankBuffers { pool, rest, .. } = buffers;
@@ -249,6 +259,7 @@ impl RankingPolicy for RandomizedRankPromotion {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::chunked::Chunked;
     use crate::policy::is_permutation;
     use crate::poolindex::PoolIndex;
     use rrp_model::{new_rng, PageId};
@@ -397,8 +408,8 @@ mod tests {
     /// Partition `ps` into `shards` shard-local corpora with dense local
     /// slots, as a sharded cache tier holds them: per shard, the local
     /// stats and the local → global slot map.
-    fn partition(ps: &[PageStats], shards: usize) -> Vec<(Vec<PageStats>, Vec<usize>)> {
-        let mut parts: Vec<(Vec<PageStats>, Vec<usize>)> = vec![Default::default(); shards];
+    fn partition(ps: &[PageStats], shards: usize) -> Vec<(Vec<PageStats>, Chunked<usize>)> {
+        let mut parts: Vec<(Vec<PageStats>, Chunked<usize>)> = vec![Default::default(); shards];
         for p in ps {
             let (locals, globals) = &mut parts[(p.slot * 5 + 1) % shards];
             let mut local = *p;
@@ -414,7 +425,8 @@ mod tests {
         let ps = pages();
         let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
-        let source = RankSource::pooled(&ps, &sorted, &pool);
+        let stats: Chunked<PageStats> = ps.iter().copied().collect();
+        let source = RankSource::pooled(&stats, &sorted, &pool);
         let mut buffers = RankBuffers::new();
         let mut full = Vec::new();
         let mut topk = Vec::new();
@@ -449,7 +461,8 @@ mod tests {
         let ps = pages();
         let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
-        let source = RankSource::pooled(&ps, &sorted, &pool);
+        let stats: Chunked<PageStats> = ps.iter().copied().collect();
+        let source = RankSource::pooled(&stats, &sorted, &pool);
         let mut buffers = RankBuffers::new();
         let mut pooled = Vec::new();
         for rule in [PromotionRule::Selective, PromotionRule::Uniform] {
@@ -474,7 +487,8 @@ mod tests {
         let ps = pages();
         let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
-        let source = RankSource::pooled(&ps, &sorted, &pool);
+        let stats: Chunked<PageStats> = ps.iter().copied().collect();
+        let source = RankSource::pooled(&stats, &sorted, &pool);
         let mut buffers = RankBuffers::new();
         let (mut pooled, mut from_candidates) = (Vec::new(), Vec::new());
         let mut merged = MergedCandidates::new();
@@ -493,13 +507,15 @@ mod tests {
                             let order = PopularityIndex::build(locals);
                             let shard_pool = PoolIndex::build(locals);
                             let mut c = ShardCandidates::new();
-                            c.collect(locals, order.order(), &shard_pool, k, globals);
+                            let stats = locals.iter().copied().collect();
+                            c.collect(&stats, &order, &shard_pool, k, globals);
                             c
                         })
                         .collect();
                     merge_shard_candidates_into(&candidates, k, &mut merged);
                     let rest: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
-                    let retrieved = RankSource::retrieved(merged.pool(), &rest);
+                    assert_eq!(merged.pool(), pool.members());
+                    let retrieved = RankSource::retrieved(&pool, &rest);
                     for seed in 0..10 {
                         policy.rank_into(
                             source,
@@ -558,7 +574,7 @@ mod tests {
                 &mut order,
             );
             assert_eq!(order, sorted, "{shards} shards: merged order is global");
-            let source = RankSource::merged(pool.members(), pool.mask(), &order);
+            let source = RankSource::merged(&pool, &order);
 
             for rule in [PromotionRule::Selective, PromotionRule::Uniform] {
                 for start_rank in [1usize, 2, 4] {
@@ -594,7 +610,7 @@ mod tests {
             PromotionConfig::new(PromotionRule::Uniform, 1, 0.3).unwrap(),
         );
         policy.rank_into(
-            RankSource::retrieved(&[], &[]),
+            RankSource::retrieved(&PoolIndex::default(), &[]),
             Some(3),
             &mut new_rng(0),
             &mut RankBuffers::new(),
@@ -607,7 +623,8 @@ mod tests {
         let ps = pages();
         let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
-        let source = RankSource::pooled(&ps, &sorted, &pool);
+        let stats: Chunked<PageStats> = ps.iter().copied().collect();
+        let source = RankSource::pooled(&stats, &sorted, &pool);
         let mut buffers = RankBuffers::new();
         let mut out = Vec::new();
 
@@ -632,6 +649,7 @@ mod tests {
         let ps = pages();
         let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
+        let stats: Chunked<PageStats> = ps.iter().copied().collect();
         let mut buffers = RankBuffers::new();
         let (mut pooled, mut other) = (Vec::new(), Vec::new());
         for start_rank in [1usize, 2, 4] {
@@ -649,7 +667,7 @@ mod tests {
                     .collect();
                 for seed in 0..20 {
                     policy.rank_into(
-                        RankSource::pooled(&ps, &sorted, &pool),
+                        RankSource::pooled(&stats, &sorted, &pool),
                         Some(k),
                         &mut new_rng(seed),
                         &mut buffers,
@@ -658,8 +676,8 @@ mod tests {
                     let draws = buffers.take_pool_draws();
                     assert!(draws <= k as u64, "k={k}, seed={seed}: {draws} draws");
                     for source in [
-                        RankSource::merged(pool.members(), pool.mask(), &sorted),
-                        RankSource::retrieved(pool.members(), &rest_slots),
+                        RankSource::merged(&pool, &sorted),
+                        RankSource::retrieved(&pool, &rest_slots),
                     ] {
                         policy.rank_into(
                             source,
@@ -693,7 +711,8 @@ mod tests {
         let ps = pages();
         let sorted = sorted(&ps);
         let pool = PoolIndex::build(&ps);
-        let source = RankSource::pooled(&ps, &sorted, &pool);
+        let stats: Chunked<PageStats> = ps.iter().copied().collect();
+        let source = RankSource::pooled(&stats, &sorted, &pool);
         let mut buffers = RankBuffers::new();
         let (mut v1_out, mut v2_out) = (Vec::new(), Vec::new());
         for rule in [PromotionRule::Selective, PromotionRule::Uniform] {

@@ -24,7 +24,8 @@
 use proptest::prelude::*;
 use rrp_model::new_rng;
 use rrp_ranking::{
-    EngineVersion, PromotionConfig, PromotionRule, RandomizedRankPromotion, RankBuffers, RankSource,
+    EngineVersion, PoolIndex, PromotionConfig, PromotionRule, RandomizedRankPromotion, RankBuffers,
+    RankSource,
 };
 
 /// Trials per proptest case. Each trial is one paired (v1, v2) top-k
@@ -83,7 +84,11 @@ proptest! {
         // rest the slots after them — the retrieved-path shape both
         // versions serve, with disjoint slot ranges so membership of an
         // output slot is a plain comparison.
-        let pool: Vec<usize> = (0..pool_len).collect();
+        let mut pool = PoolIndex::default();
+        for slot in 0..pool_len {
+            pool.set(slot, true);
+        }
+        pool.refresh();
         let rest: Vec<usize> = (pool_len..pool_len + rest_len).collect();
         let source = RankSource::retrieved(&pool, &rest);
 

@@ -6,11 +6,13 @@
 
 use proptest::prelude::*;
 use rrp_model::{new_rng, PageId};
+use rrp_ranking::popindex::BLOCK;
 use rrp_ranking::{
-    is_permutation, merge_promoted, merge_shard_candidates_into, popularity_order, CorpusCache,
-    EngineVersion, FullyRandomRanking, MergedCandidates, PageStats, PolicyKind, PoolIndex,
-    PopularityIndex, PopularityRanking, PromotionConfig, PromotionRule, QualityOracleRanking,
-    RandomizedRankPromotion, RankBuffers, RankSource, RankingPolicy, ShardCandidates,
+    is_permutation, merge_promoted, merge_shard_candidates_into, popularity_order, Chunked,
+    CorpusCache, EngineVersion, FullyRandomRanking, MergedCandidates, PageStats, PolicyKind,
+    PoolIndex, PopularityIndex, PopularityRanking, PromotionConfig, PromotionRule,
+    QualityOracleRanking, RandomizedRankPromotion, RankBuffers, RankSource, RankingPolicy,
+    ShardCandidates,
 };
 
 /// Partition `pages` into `shards` shard-local corpora (dense local slots)
@@ -23,7 +25,7 @@ fn shard_candidates(
     limit: usize,
 ) -> MergedCandidates {
     let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
-    let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
+    let mut globals: Vec<Chunked<usize>> = vec![Chunked::new(); shards];
     for p in pages {
         let shard = (p.slot * 31 + route_salt) % shards;
         let mut local = *p;
@@ -36,7 +38,8 @@ fn shard_candidates(
             let order = PopularityIndex::build(&locals[s]);
             let pool = PoolIndex::build(&locals[s]);
             let mut c = ShardCandidates::new();
-            c.collect(&locals[s], order.order(), &pool, limit, &globals[s]);
+            let stats = locals[s].iter().copied().collect();
+            c.collect(&stats, &order, &pool, limit, &globals[s]);
             c
         })
         .collect();
@@ -81,6 +84,111 @@ fn assert_cache_matches_rebuild(
         prop_assert_eq!(cache.pool().contains(slot), fresh.pool().contains(slot));
     }
     Ok(())
+}
+
+/// One `push`/`patch` event of a cache schedule: `(kind, raw_slot, x,
+/// repair_after)`. Kinds 0–4 touch one slot (insert, visit, retirement,
+/// score update, no-op patch); kinds 5–7 touch many (a burst of tail
+/// inserts, a stretch of the order moved to the top, every slot).
+type CacheEvent = (usize, usize, f64, bool);
+
+/// Run `events` against a [`CorpusCache`] over `initial` pages, checking
+/// after every repair that stats, popularity order, pool members and pool
+/// mask equal a from-scratch `rebuild` of the same stats, and that a clone
+/// taken before the repair — what a published version holds — keeps its
+/// contents unchanged.
+fn check_cache_schedule(initial: usize, events: &[CacheEvent]) -> Result<(), TestCaseError> {
+    let page = |slot: usize, popularity: f64, awareness: f64, age: u64| {
+        PageStats::new(slot, PageId::new(slot as u64), popularity, awareness).with_age(age)
+    };
+    let mut stats: Vec<PageStats> = (0..initial)
+        .map(|slot| {
+            page(
+                slot,
+                (slot % 17) as f64 * 0.01,
+                (slot % 3) as f64 * 0.2,
+                slot as u64 % 5,
+            )
+        })
+        .collect();
+    let mut cache = CorpusCache::new();
+    cache.rebuild(stats.iter().copied());
+
+    for &(kind, raw_slot, x, repair_after) in events {
+        if stats.is_empty() || kind == 0 {
+            // An insert, explored or not.
+            let slot = stats.len();
+            let awareness = if raw_slot % 3 == 0 { 0.0 } else { x };
+            stats.push(page(slot, awareness * 0.5, awareness, raw_slot as u64 % 4));
+            cache.push(stats[slot]);
+        } else if kind == 5 {
+            // A burst of inserts onto the tail, most of them landing
+            // in the same stretch of the order.
+            for i in 0..raw_slot % (2 * BLOCK) {
+                let slot = stats.len();
+                stats.push(page(slot, x * 0.01 + i as f64 * 1e-6, x, 0));
+                cache.push(stats[slot]);
+            }
+        } else if kind == 6 {
+            // A stretch of the current order moves to the top.
+            let order = cache.order().to_vec();
+            let stale = order.len() != stats.len();
+            let start = raw_slot % stats.len();
+            let slots: Vec<usize> = if stale {
+                (start..stats.len())
+                    .take(BLOCK + raw_slot % BLOCK)
+                    .collect()
+            } else {
+                order
+                    .iter()
+                    .copied()
+                    .skip(start)
+                    .take(BLOCK + raw_slot % BLOCK)
+                    .collect()
+            };
+            for slot in slots {
+                stats[slot].popularity = 2.0 + x + slot as f64 * 1e-6;
+                cache.patch(slot, stats[slot]);
+            }
+        } else if kind == 7 {
+            // Every slot changes: an all-dirty repair.
+            for (slot, stat) in stats.iter_mut().enumerate() {
+                stat.popularity = ((slot as f64 + x * 1000.0) * 0.618).fract();
+                cache.patch(slot, *stat);
+            }
+        } else {
+            let slot = raw_slot % stats.len();
+            match kind {
+                // A first (or further) visit: out of the pool, up in
+                // the order.
+                1 => {
+                    stats[slot].awareness = (stats[slot].awareness + 0.25).min(1.0);
+                    stats[slot].popularity = (stats[slot].popularity + x * 0.1).min(1.0);
+                }
+                // A retirement: a fresh zero-awareness page re-enters.
+                2 => stats[slot] = page(slot, 0.0, 0.0, 0),
+                // A score update: the order moves, membership does not.
+                3 => stats[slot].popularity = x,
+                // A patch that changes nothing.
+                _ => {}
+            }
+            cache.patch(slot, stats[slot]);
+        }
+        if repair_after {
+            let held = (
+                cache.stats().clone(),
+                cache.order().clone(),
+                cache.pool().clone(),
+            );
+            let frozen = (held.0.to_vec(), held.1.to_vec(), held.2.members());
+            cache.repair();
+            prop_assert_eq!(cache.dirty_len(), 0);
+            assert_cache_matches_rebuild(&cache, &stats)?;
+            prop_assert_eq!((held.0.to_vec(), held.1.to_vec(), held.2.members()), frozen);
+        }
+    }
+    cache.repair();
+    assert_cache_matches_rebuild(&cache, &stats)
 }
 
 proptest! {
@@ -260,61 +368,34 @@ proptest! {
         }
     }
 
-    /// The incremental cache under arbitrary interleavings of `push` and
-    /// `patch` — visits flipping a page out of the pool and raising its
-    /// popularity, retirements resetting a page into the pool, score
+    /// The incremental cache under long arbitrary interleavings of `push`
+    /// and `patch` — visits flipping a page out of the pool and raising
+    /// its popularity, retirements resetting a page into the pool, score
     /// updates moving it in the order, inserts growing the corpus past its
     /// initial size, the same slot patched repeatedly between repairs,
     /// and patches that change nothing — with `repair` at arbitrary
-    /// points: after every repair, stats, popularity order, pool members
-    /// and pool mask equal a from-scratch `rebuild` of the same stats.
+    /// points: after every repair the cache equals a from-scratch
+    /// `rebuild` (see `check_cache_schedule`). Corpora start at up to four
+    /// order blocks, so long runs of small repairs leave separators stale
+    /// and shrink, fold and split blocks over time.
     #[test]
     fn cache_repair_equals_rebuild_under_arbitrary_push_patch_interleavings(
-        initial in 0usize..30,
-        events in prop::collection::vec((0usize..5, 0usize..64, 0.0f64..1.0, prop::bool::ANY), 0..150),
+        initial in 0usize..(4 * BLOCK),
+        events in prop::collection::vec((0usize..5, 0usize..4096, 0.0f64..1.0, prop::bool::ANY), 0..150),
     ) {
-        let page = |slot: usize, popularity: f64, awareness: f64, age: u64| {
-            PageStats::new(slot, PageId::new(slot as u64), popularity, awareness).with_age(age)
-        };
-        let mut stats: Vec<PageStats> = (0..initial)
-            .map(|slot| page(slot, 0.0, 0.0, slot as u64 % 5))
-            .collect();
-        let mut cache = CorpusCache::new();
-        cache.rebuild(stats.iter().copied());
+        check_cache_schedule(initial, &events)?;
+    }
 
-        for &(kind, raw_slot, x, repair_after) in &events {
-            if stats.is_empty() || kind == 0 {
-                // An insert, explored or not.
-                let slot = stats.len();
-                let awareness = if raw_slot % 3 == 0 { 0.0 } else { x };
-                stats.push(page(slot, awareness * 0.5, awareness, raw_slot as u64 % 4));
-                cache.push(stats[slot]);
-            } else {
-                let slot = raw_slot % stats.len();
-                match kind {
-                    // A first (or further) visit: out of the pool, up in
-                    // the order.
-                    1 => {
-                        stats[slot].awareness = (stats[slot].awareness + 0.25).min(1.0);
-                        stats[slot].popularity = (stats[slot].popularity + x * 0.1).min(1.0);
-                    }
-                    // A retirement: a fresh zero-awareness page re-enters.
-                    2 => stats[slot] = page(slot, 0.0, 0.0, 0),
-                    // A score update: the order moves, membership does not.
-                    3 => stats[slot].popularity = x,
-                    // A patch that changes nothing.
-                    _ => {}
-                }
-                cache.patch(slot, stats[slot]);
-            }
-            if repair_after {
-                cache.repair();
-                prop_assert_eq!(cache.dirty_len(), 0);
-                assert_cache_matches_rebuild(&cache, &stats)?;
-            }
-        }
-        cache.repair();
-        assert_cache_matches_rebuild(&cache, &stats)?;
+    /// The same check under schedules that also move many slots at once:
+    /// bursts of inserts onto the tail (splitting blocks), whole stretches
+    /// of the order moved to the top (draining blocks until they fold or
+    /// vanish, overfilling the first), and repairs with every slot dirty.
+    #[test]
+    fn cache_repair_equals_rebuild_under_bulk_block_moves(
+        initial in 0usize..(4 * BLOCK),
+        events in prop::collection::vec((0usize..8, 0usize..4096, 0.0f64..1.0, prop::bool::ANY), 0..64),
+    ) {
+        check_cache_schedule(initial, &events)?;
     }
 
     /// Callers holding only `pages` and a popularity order build the pool
@@ -342,10 +423,11 @@ proptest! {
         let mut sorted: Vec<usize> = (0..n).collect();
         sorted.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
         let pool = PoolIndex::build(&pages);
+        let stats: Chunked<PageStats> = pages.iter().copied().collect();
 
         let mut pooled = Vec::new();
         policy.rank_into(
-            RankSource::pooled(&pages, &sorted, &pool),
+            RankSource::pooled(&stats, &sorted, &pool),
             limit,
             &mut new_rng(seed),
             &mut RankBuffers::new(),
@@ -382,19 +464,19 @@ proptest! {
         let mut sorted: Vec<usize> = (0..n).collect();
         sorted.sort_unstable_by(|&a, &b| popularity_order(&pages[a], &pages[b]));
         let pool = PoolIndex::build(&pages);
-        let mask: Vec<bool> = (0..n).map(|s| pool.contains(s)).collect();
+        let stats: Chunked<PageStats> = pages.iter().copied().collect();
 
         let mut buffers = RankBuffers::new();
         let (mut pooled, mut other) = (Vec::new(), Vec::new());
         policy.rank_into(
-            RankSource::pooled(&pages, &sorted, &pool),
+            RankSource::pooled(&stats, &sorted, &pool),
             limit,
             &mut new_rng(seed),
             &mut buffers,
             &mut pooled,
         );
         policy.rank_into(
-            RankSource::merged(pool.members(), &mask, &sorted),
+            RankSource::merged(&pool, &sorted),
             limit,
             &mut new_rng(seed),
             &mut buffers,
@@ -404,7 +486,7 @@ proptest! {
 
         // And through the enum dispatch used by the simulator.
         PolicyKind::Promotion(policy).rank_into(
-            RankSource::pooled(&pages, &sorted, &pool),
+            RankSource::pooled(&stats, &sorted, &pool),
             limit,
             &mut new_rng(seed),
             &mut buffers,
@@ -415,8 +497,9 @@ proptest! {
         if rule == PromotionRule::Selective {
             let merged = shard_candidates(&pages, shards, route_salt, limit.unwrap_or(n));
             let rest: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
+            prop_assert_eq!(merged.pool(), &pool.members()[..], "merged pool ≡ pool");
             policy.rank_into(
-                RankSource::retrieved(merged.pool(), &rest),
+                RankSource::retrieved(&pool, &rest),
                 limit,
                 &mut new_rng(seed),
                 &mut buffers,

@@ -75,6 +75,13 @@ pub struct ServeStats {
     /// validates once per batch and only counts. Read-only workloads pin
     /// this at 0.
     pub epoch_conflicts: u64,
+    /// Copy-on-write chunk clones: fixed-size chunks of the serving tier's
+    /// per-slot arrays copied because a published version still shared
+    /// them — stats, page-id and pool chunks on the mutation side, order
+    /// blocks on the publication side. A mutation copies at most the few
+    /// chunks on its slot's path, however large the corpus, and read-only
+    /// traffic copies nothing (both pinned in tests).
+    pub chunks_copied: u64,
     /// Immutable serving-version publications — at most one per mutation
     /// epoch: the first query after a mutation stretch cuts exactly one
     /// new version (repairing the dirty slots on the way), and clean
@@ -111,6 +118,7 @@ struct ProbeCells {
     pool_draws: AtomicU64,
     order_merges: AtomicU64,
     epoch_conflicts: AtomicU64,
+    chunks_copied: AtomicU64,
     version_publications: AtomicU64,
 }
 
@@ -131,6 +139,7 @@ impl ProbeCells {
             pool_draws: self.pool_draws.load(Ordering::Relaxed),
             order_merges: self.order_merges.load(Ordering::Relaxed),
             epoch_conflicts: self.epoch_conflicts.load(Ordering::Relaxed),
+            chunks_copied: self.chunks_copied.load(Ordering::Relaxed),
             version_publications: self.version_publications.load(Ordering::Relaxed),
             wal_appends: 0,
             snapshots_written: 0,
@@ -335,6 +344,7 @@ impl ShardedPromotionService {
         let seq = store.insert(document);
         let shard = store.shard_of_id(document.id);
         shards.push(shard, &document);
+        ProbeCells::add(&self.probe.chunks_copied, shards.take_copies());
         self.epoch.fetch_add(1, Ordering::Release);
         seq
     }
@@ -360,6 +370,7 @@ impl ShardedPromotionService {
                     .slot_of(seq)
                     .expect("a recorded visit has a placement slot");
                 shards.patch(slot, &document);
+                ProbeCells::add(&self.probe.chunks_copied, shards.take_copies());
                 self.epoch.fetch_add(1, Ordering::Release);
                 true
             }
@@ -380,6 +391,7 @@ impl ShardedPromotionService {
                     .slot_of(seq)
                     .expect("an updated document has a placement slot");
                 shards.patch(slot, &document);
+                ProbeCells::add(&self.probe.chunks_copied, shards.take_copies());
                 self.epoch.fetch_add(1, Ordering::Release);
                 true
             }
@@ -446,9 +458,8 @@ impl ShardedPromotionService {
             shards.push(store.shard_of_id(document.id), document);
         }
         // Part of the same rebuild event, not a lazy repair — left out of
-        // the repair counters on purpose (the rebuild also invalidates
-        // the publication diff log, so the follow-up publication charges
-        // nothing extra).
+        // the repair counters on purpose (the follow-up publication finds
+        // nothing dirty and charges nothing extra).
         shards.repair();
         self.epoch.fetch_add(1, Ordering::Release);
     }
@@ -457,11 +468,6 @@ impl ShardedPromotionService {
     /// is current, else a fresh publication (at most one ever happens per
     /// epoch — racing readers converge on the same version).
     fn current_version(&self) -> Arc<PublishedVersion> {
-        // Clone the Arc only when the version is current: carrying a
-        // stale clone into `publish_current` would keep the retired
-        // version's refcount above one right when `recycle` tries to
-        // reclaim its buffers, silently downgrading every publication
-        // from O(dirty) to a full copy-on-write of the next mutation.
         {
             let published = self.published.read().expect("published version lock");
             if published.epoch() == self.epoch.load(Ordering::Acquire) {
@@ -472,8 +478,10 @@ impl ShardedPromotionService {
     }
 
     /// Cut and install a version for the live epoch under the writer
-    /// lock: repair the writer generation (charging the repair probes),
-    /// swap the new version in, and recycle the retired one's buffers.
+    /// lock: repair the writer generation (charging the repair and copy
+    /// probes) and swap the new version in. The replaced version is
+    /// dropped once both locks are released; its chunks are freed when its
+    /// last reader lets go too.
     fn publish_current(&self) -> Arc<PublishedVersion> {
         let mut writer = self.writer.lock().expect("writer lock");
         // The epoch is stable while we hold the writer lock (every bump
@@ -486,22 +494,19 @@ impl ShardedPromotionService {
                 return published.clone();
             }
         }
-        let WriterState { store, shards, .. } = &mut *writer;
-        let (version, charged) = shards.publish(epoch);
+        let (version, charged) = writer.shards.publish(epoch);
         if charged > 0 {
             ProbeCells::add(&self.probe.shard_repairs, 1);
             ProbeCells::add(&self.probe.dirty_slots_repaired, charged);
         }
+        ProbeCells::add(&self.probe.chunks_copied, writer.shards.take_copies());
         ProbeCells::add(&self.probe.version_publications, 1);
-        let prev = std::mem::replace(
+        let replaced = std::mem::replace(
             &mut *self.published.write().expect("published version lock"),
             version.clone(),
         );
-        shards.recycle(prev, |slot| {
-            *store
-                .get(slot as u64)
-                .expect("every published slot exists in the store")
-        });
+        drop(writer);
+        drop(replaced);
         version
     }
 
@@ -530,7 +535,7 @@ impl ShardedPromotionService {
     /// engine, including the Uniform rule, whose ranking re-draws its pool
     /// per query and never reads this one.
     pub fn pooled_slots(&self) -> Vec<usize> {
-        self.current_version().pool_slots().to_vec()
+        self.current_version().pool().listed().to_vec()
     }
 
     /// Answer one query sequentially: the canonical snapshot order
@@ -787,6 +792,10 @@ impl ShardedPromotionService {
     /// rule's coin scan) consumes the complete merged order, brought
     /// current once.
     fn route(&self, version: &PublishedVersion, k: Option<usize>, queries: usize) -> Route {
+        if self.engine.copies_pool(k) {
+            // Every query copies the whole pool: list it once per version.
+            version.pool().listed();
+        }
         match k {
             Some(k) if self.engine.reads_pool_index() => {
                 ProbeCells::add(
@@ -891,7 +900,7 @@ struct TopKRetrieval {
 impl TopKRetrieval {
     /// Retrieve a top-`k` query's inputs from a published version's shard
     /// caches alone: each shard's rest prefix (`O(k)` per shard), merged
-    /// deterministically, beside the version's merged pool — the complete
+    /// deterministically, beside the version's global pool — the complete
     /// order is never read. `k` rest candidates suffice because each of
     /// the top `k` ranks consumes at most one of them.
     fn retrieve<'a>(&'a mut self, version: &'a PublishedVersion, k: usize) -> RankSource<'a> {
@@ -900,7 +909,7 @@ impl TopKRetrieval {
         self.rest_slots.clear();
         self.rest_slots
             .extend(self.merged.rest().iter().map(|p| p.slot));
-        RankSource::retrieved(version.pool_slots(), &self.rest_slots)
+        RankSource::retrieved(version.pool(), &self.rest_slots)
     }
 }
 
@@ -1456,6 +1465,117 @@ mod tests {
             service.serve_stats().mask_resets,
             0,
             "the lazy route still never scans the corpus"
+        );
+    }
+
+    /// A corpus whose first 64 documents lead every shard's popularity
+    /// order, so mutations of them touch the same chunks at any size.
+    fn led_corpus(n: u64) -> Vec<Document> {
+        (0..n)
+            .map(|i| {
+                if i < 64 {
+                    Document::established(i, 0.9 + i as f64 * 0.001)
+                } else if i % 10 == 0 {
+                    Document::unexplored(i)
+                } else {
+                    Document::established(i, 0.5 * (1.0 - i as f64 / n as f64)).with_age(i % 200)
+                }
+            })
+            .collect()
+    }
+
+    /// Chunks copied and dirty slots repaired by `mutate` followed by one
+    /// top-10 batch, on a v2 service over `corpus` that already published.
+    fn copies_of_round(
+        corpus: Vec<Document>,
+        mutate: impl Fn(&ShardedPromotionService),
+    ) -> (u64, u64) {
+        let engine = RankPromotionEngine::recommended()
+            .with_seed(5)
+            .with_version(rrp_core::EngineVersion::V2);
+        let service = ShardedPromotionService::new(engine, 8).with_workers(1);
+        service.extend(corpus);
+        let mut results = Vec::new();
+        service.rerank_batch_top_k_into(&queries(64), 10, &mut results);
+        let before = service.serve_stats();
+        mutate(&service);
+        service.rerank_batch_top_k_into(&queries(64), 10, &mut results);
+        let after = service.serve_stats();
+        (
+            after.chunks_copied - before.chunks_copied,
+            after.dirty_slots_repaired - before.dirty_slots_repaired,
+        )
+    }
+
+    #[test]
+    fn a_mutated_round_copies_a_corpus_size_independent_number_of_chunks() {
+        // The O(dirty) contract as a count: one publication after 32
+        // mutations copies the chunks on the mutated slots' paths — the
+        // stats leaf, the pool words and the order blocks each slot leaves
+        // and joins — never a share of the corpus. At most C chunks per
+        // mutated slot, with C = 5.
+        const C: u64 = 5;
+        let clustered = |service: &ShardedPromotionService| {
+            for seq in 0..32u64 {
+                if seq % 2 == 0 {
+                    service.record_visit(seq);
+                } else {
+                    service.update_popularity(seq, 0.95 + seq as f64 * 0.001);
+                }
+            }
+        };
+        let small = copies_of_round(led_corpus(2_000), clustered);
+        let large = copies_of_round(led_corpus(50_000), clustered);
+        assert_eq!(small, large, "the same schedule copies the same chunks");
+        assert_eq!(small.1, 32, "every mutated slot is repaired once");
+        assert!(small.0 > 0 && small.0 <= C * 32, "{} chunks", small.0);
+
+        // Spread over the corpus, each mutation lands on its own chunks.
+        for n in [2_000u64, 50_000] {
+            let (copies, dirty) = copies_of_round(corpus(n), |service| {
+                for i in 0..32u64 {
+                    let seq = (i * 7_919) % n;
+                    if i % 2 == 0 {
+                        service.record_visit(seq);
+                    } else {
+                        service.update_popularity(seq, (i % 7) as f64 * 0.1);
+                    }
+                }
+            });
+            assert_eq!(dirty, 32, "n = {n}");
+            assert!(
+                copies <= C * 32,
+                "n = {n}: {copies} chunks for 32 mutations"
+            );
+        }
+    }
+
+    #[test]
+    fn read_only_traffic_copies_no_chunks() {
+        let service =
+            ShardedPromotionService::new(RankPromotionEngine::recommended(), 4).with_workers(2);
+        service.extend(corpus(3_000));
+        let mut results = Vec::new();
+        service.rerank_batch_top_k_into(&queries(8), 10, &mut results);
+        assert_eq!(
+            service.serve_stats().chunks_copied,
+            0,
+            "loading and a first publication copy nothing"
+        );
+        service.record_visit(7);
+        service.rerank_batch_top_k_into(&queries(8), 10, &mut results);
+        let settled = service.serve_stats().chunks_copied;
+        assert!(settled > 0, "a mutation under a published version copies");
+        for _ in 0..3 {
+            service.rerank_batch_top_k_into(&queries(16), 10, &mut results);
+            service.rerank_batch_into(&queries(4), &mut results);
+            service.rerank_top_k(QueryContext::new(3, 4), 5);
+            service.rerank_one(QueryContext::new(5, 6));
+        }
+        assert_eq!(
+            service.serve_stats().chunks_copied,
+            settled,
+            "reads copy nothing"
         );
     }
 

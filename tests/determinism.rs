@@ -197,7 +197,8 @@ fn pooled_top_k_reproduces_the_recorded_goldens_for_all_four_policies() {
     let mut sorted: Vec<usize> = (0..stats.len()).collect();
     sorted.sort_unstable_by(|&a, &b| rrp_ranking::popularity_order(&stats[a], &stats[b]));
     let pool = PoolIndex::build(&stats);
-    let source = RankSource::pooled(&stats, &sorted, &pool);
+    let chunked: rrp_ranking::Chunked<_> = stats.iter().copied().collect();
+    let source = RankSource::pooled(&chunked, &sorted, &pool);
     let mut buffers = RankBuffers::new();
     let mut pooled = Vec::new();
     let kinds: [(PolicyKind, &[usize; 10]); 4] = [
@@ -384,7 +385,8 @@ fn uniform_full_rerank_reproduces_its_golden_through_the_merged_order() {
 #[test]
 fn shard_candidate_merge_reproduces_the_pooled_goldens() {
     use rrp_ranking::{
-        merge_shard_candidates_into, MergedCandidates, PageStats, PopularityIndex, ShardCandidates,
+        merge_shard_candidates_into, Chunked, MergedCandidates, PageStats, PopularityIndex,
+        ShardCandidates,
     };
 
     let docs = corpus();
@@ -394,9 +396,10 @@ fn shard_candidate_merge_reproduces_the_pooled_goldens() {
     let mut buffers = RankBuffers::new();
     let mut out = Vec::new();
     let mut merged = MergedCandidates::new();
+    let global_pool = PoolIndex::build(&stats);
     for shards in [1usize, 3, 8] {
         let mut locals: Vec<Vec<PageStats>> = vec![Vec::new(); shards];
-        let mut globals: Vec<Vec<usize>> = vec![Vec::new(); shards];
+        let mut globals: Vec<Chunked<usize>> = vec![Chunked::new(); shards];
         for p in &stats {
             let shard = (p.slot * 13 + 5) % shards;
             let mut local = *p;
@@ -409,14 +412,16 @@ fn shard_candidate_merge_reproduces_the_pooled_goldens() {
                 let order = PopularityIndex::build(&locals[s]);
                 let pool = PoolIndex::build(&locals[s]);
                 let mut c = ShardCandidates::new();
-                c.collect(&locals[s], order.order(), &pool, 10, &globals[s]);
+                let stats = locals[s].iter().copied().collect();
+                c.collect(&stats, &order, &pool, 10, &globals[s]);
                 c
             })
             .collect();
         merge_shard_candidates_into(&candidates, 10, &mut merged);
         let rest_slots: Vec<usize> = merged.rest().iter().map(|p| p.slot).collect();
+        assert_eq!(merged.pool(), global_pool.members(), "{shards}-shard pool");
         kind.rank_into(
-            RankSource::retrieved(merged.pool(), &rest_slots),
+            RankSource::retrieved(&global_pool, &rest_slots),
             Some(10),
             &mut new_rng(123),
             &mut buffers,
